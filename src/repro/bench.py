@@ -569,10 +569,8 @@ def _shards_world():
 def _shards_phase(seed: int, rounds: int) -> Dict[str, object]:
     """Supervised shard pool vs the single-process engine, plus chaos.
 
-    Three arms replay the same four-center world for ``rounds`` rounds
-    (every arm runs the fault-tolerant ladder — ``solve_deadline_s`` is
-    set — so an inherited ``REPRO_FAULTS`` cannot skew one arm onto a
-    different code path):
+    Three arms replay the same four-center world for ``rounds`` rounds,
+    every arm under the same ``solve_deadline_s``:
 
     * ``single`` — one :class:`~repro.service.engine.DispatchEngine`
       over the whole world.

@@ -268,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-jobs",
         type=int,
         default=1,
-        help="per-center solve parallelism within each dispatch round",
+        help="threads each dispatch round fans its centers out across "
+        "(process parallelism is --shards)",
     )
     srv.add_argument(
         "--verify",
@@ -319,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solve-deadline-s",
         type=float,
         default=None,
-        help="per-center solve budget in seconds; enables the degradation "
-        "ladder (primary -> scalar -> greedy -> skip)",
+        help="per-center solve budget in seconds for each rung of the "
+        "degradation ladder (primary -> greedy -> skip); default: no budget",
     )
     srv.add_argument(
         "--solve-retries",
@@ -1022,17 +1023,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"decay={ledger.decay} window={ledger.window} "
             f"ledger_rounds={ledger.rounds}"
         )
-    if engine.fault_tolerant:
-        print(
-            f"  fault-tolerant: solve_deadline_s={args.solve_deadline_s} "
-            f"retries={args.solve_retries} "
-            f"breaker={args.breaker_failures}x/{args.breaker_cooldown_s}s"
-            + (
-                f" faults=[{engine.faults.describe()}]"
-                if engine.faults is not None
-                else ""
-            )
+    print(
+        f"  ladder: solve_deadline_s={args.solve_deadline_s} "
+        f"retries={args.solve_retries} "
+        f"breaker={args.breaker_failures}x/{args.breaker_cooldown_s}s"
+        + (
+            f" faults=[{engine.faults.describe()}]"
+            if engine.faults is not None
+            else ""
         )
+    )
     print(
         "  endpoints: POST /tasks /workers /dispatch /shutdown · "
         "GET /assignments /healthz /metrics /slo /equity"

@@ -11,7 +11,7 @@ differential suites in ``tests/kernels/`` assert exact equality):
 * :mod:`repro.kernels.routing` — the Held-Karp routing DP
   (:func:`~repro.kernels.routing.best_route_vectorized`).
 
-Tier selection (``scalar`` / ``vectorized`` / ``numba``) lives in
+Tier selection (``scalar`` / ``vectorized``) lives in
 :mod:`repro.kernels.config`; see ``docs/performance.md`` for the
 representation and the canonical-tie-break argument.
 """
@@ -20,7 +20,6 @@ from repro.kernels.config import (
     KERNEL_ENV_VAR,
     VALID_KERNELS,
     default_kernel,
-    numba_available,
     resolve_kernel,
     set_default_kernel,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "KERNEL_ENV_VAR",
     "VALID_KERNELS",
     "default_kernel",
-    "numba_available",
     "resolve_kernel",
     "set_default_kernel",
 ]

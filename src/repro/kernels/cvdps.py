@@ -80,7 +80,6 @@ def compute_states_vectorized(
     tracer,
     center_id: str,
     matrix: Optional[TravelMatrix] = None,
-    use_numba: bool = False,
 ) -> Dict[_StateKey, _StateVal]:
     """The full layered DP as array passes; see the module doc.
 
@@ -107,12 +106,6 @@ def compute_states_vectorized(
         j = idx_of[dp_id]
         for q_id in neigh:
             adjacency[j, idx_of[q_id]] = True
-
-    expand = None
-    if use_numba:  # pragma: no cover - requires an image with numba
-        from repro.kernels import _numba
-
-        expand = _numba.expand_candidates if _numba.AVAILABLE else None
 
     states: Dict[_StateKey, _StateVal] = {}
 
@@ -166,13 +159,8 @@ def compute_states_vectorized(
             if not rows_c.size:
                 continue
             rows_g = rows_c + lo
-            if expand is not None:  # pragma: no cover - numba-only path
-                t_new, feasible = expand(
-                    base, f_ends, rows_g, qs_c, times, deadline
-                )
-            else:
-                t_new = base[rows_g] + times[f_ends[rows_g], qs_c]
-                feasible = t_new <= deadline[qs_c]
+            t_new = base[rows_g] + times[f_ends[rows_g], qs_c]
+            feasible = t_new <= deadline[qs_c]
             layer_rejections += rows_c.size - int(np.count_nonzero(feasible))
             parents_parts.append(rows_g[feasible])
             qs_parts.append(qs_c[feasible])

@@ -7,8 +7,8 @@ centers, couriers, and tasks, behind a stdlib-only JSON-over-HTTP API.
 * :mod:`repro.service.state` — thread-safe world state with churn ops.
 * :mod:`repro.service.cache` — snapshot-hash-keyed strategy-catalog cache.
 * :mod:`repro.service.engine` — windowed micro-batch dispatch rounds,
-  sharded per center through :func:`repro.parallel.solve_instance`, with
-  optional :mod:`repro.verify` checking and :mod:`repro.obs` telemetry.
+  solved per center down a verified degradation ladder, with
+  :mod:`repro.obs` telemetry.
 * :mod:`repro.service.api` — the HTTP server (``python -m repro serve``).
 * :mod:`repro.service.client` — thin client + deterministic load generator.
 * :mod:`repro.service.journal` — write-ahead journal (crash durability).

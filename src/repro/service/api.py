@@ -71,6 +71,11 @@ class ApiError(Exception):
         self.status = status
 
 
+def _reject_non_finite(literal: str) -> float:
+    """``json.loads`` hook: ``NaN``/``Infinity`` are not JSON; refuse them."""
+    raise ApiError(400, f"invalid JSON body: non-finite number {literal}")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the server's engine; one instance per request."""
 
@@ -90,7 +95,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             return {}
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(
+                raw.decode("utf-8"), parse_constant=_reject_non_finite
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ApiError(400, f"invalid JSON body: {exc}")
         if not isinstance(payload, dict):
@@ -235,7 +242,6 @@ class _Handler(BaseHTTPRequestHandler):
             "algorithm": engine.solver_name,
             "epsilon": engine.epsilon,
             "uptime_seconds": time.perf_counter() - self.server.started,
-            "fault_tolerant": engine.fault_tolerant,
             "breakers": engine.breakers.snapshot(),
         }
         if shards is not None:

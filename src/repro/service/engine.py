@@ -8,10 +8,12 @@ the ROADMAP's production system must:
    freeze a :class:`~repro.service.state.WorldSnapshot` (solving happens
    outside the state lock, so churn keeps landing during a solve and is
    picked up next round).
-2. **Shard** — hand the snapshot's per-center sub-problems to
-   :func:`repro.parallel.solve_instance` (serial or process-pool), with
-   catalogs served by the :class:`~repro.service.cache.SnapshotCatalogCache`
-   so unchanged centers skip the C-VDPS rebuild.
+2. **Solve** — every center's sub-problem walks the degradation ladder
+   (below) with its catalog served by the
+   :class:`~repro.service.cache.SnapshotCatalogCache`, so unchanged
+   centers skip the C-VDPS rebuild.  Centers fan out over ``n_jobs``
+   threads; process-level parallelism is the shard pool
+   (:mod:`repro.service.shards`).
 3. **Commit** — apply routes exactly like
    :class:`~repro.sim.platform.DispatchSimulator`: workers go busy until
    their route completes and reappear at the last drop-off, delivered
@@ -20,26 +22,28 @@ the ROADMAP's production system must:
 
 Determinism contract: round ``i`` solves with seed :meth:`round_seed`\\ (i)
 and per-center streams ``"<solver.name>:<center_id>"`` — the exact streams
-:func:`repro.experiments.runner.run_algorithms` derives — so an offline
-``run_algorithms(snapshot.instance(), ..., seed=engine.round_seed(i))``
-reproduces the service's committed routes, payoffs, and Equation 2
-``P_dif`` bit-for-bit.
+:func:`repro.parallel.solve_instance` and
+:func:`repro.experiments.runner.run_algorithms` derive — so an offline
+``solve_instance(snapshot.instance(), ..., seed=engine.round_seed(i),
+seed_stream=solver.name)`` reproduces the service's committed routes,
+payoffs, and Equation 2 ``P_dif`` bit-for-bit whenever every center
+solved on the primary rung.
 
-With ``verify=True`` every per-center assignment passes the Definition 8 /
-Equations 1-2 checkers of :mod:`repro.verify` before it is committed.
+The degradation ladder (``docs/fault_tolerance.md``): each center tries
+the primary solver (with retries and seeded-jitter backoff), then GTA
+greedy, then skip (tasks carry to the next round), behind a per-center
+circuit breaker that routes repeatedly-failing centers straight to
+greedy.  Every rung's output passes the Definition 6/8 and Equations 1-2
+checkers of :mod:`repro.verify` before it is committed, so a solver
+exception or a corrupted cached catalog costs a degraded center, never a
+bad commit or a failed round.  ``solve_deadline_s`` adds a wall budget to
+each attempt, and a :class:`~repro.service.faults.FaultPlan` injects
+seeded chaos.  With ``verify=True`` the check also covers catalog
+membership, and a failed check raises from :meth:`DispatchEngine.dispatch`
+instead of degrading the center.
+
 Every round emits a ``service.round`` tracer event and feeds the
 ``service.dispatch_seconds`` latency histogram.
-
-Fault tolerance (``docs/fault_tolerance.md``): passing ``solve_deadline_s``
-or a :class:`~repro.service.faults.FaultPlan` switches per-center solving
-to the degradation ladder — primary solver with retries + seeded-jitter
-backoff, then a deadline-capped scalar variant, then GTA greedy, then
-skip-the-center (tasks carry to the next round) — with a per-center
-circuit breaker that routes repeatedly-failing centers straight to the
-greedy rung.  Every rung's output is re-verified against the snapshot
-before use, so a corrupted cached catalog can only cost a rebuild, never a
-bad commit.  Without those knobs the engine runs the exact legacy path and
-stays bit-identical to it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from contextlib import nullcontext
 
 from repro.baselines.gta import GTASolver
 from repro.core.assignment import Assignment, WorkerAssignment
+from repro.core.exceptions import InvariantViolation
 from repro.core.fairness import (
     DEFAULT_EQUITY_STRENGTH,
     gini_coefficient,
@@ -70,7 +75,7 @@ from repro.obs.tracer import (
     resolve_tracer,
     start_trace,
 )
-from repro.parallel import InstanceSolution, solve_instance, solve_subproblem
+from repro.parallel import InstanceSolution, solve_subproblem
 from repro.service.breaker import BreakerBoard, BreakerConfig
 from repro.service.cache import SnapshotCatalogCache
 from repro.vdps.store import CatalogStore
@@ -115,6 +120,10 @@ class SolveTimeout(RuntimeError):
 #: :class:`SolveTimeout` and the ladder degrades as usual.
 MAX_ABANDONED_SOLVES = 3
 
+#: The degradation ladder's rungs, most faithful first: the configured
+#: solver, the always-fast fairness-blind GTA, then the null assignment.
+LADDER = ("primary", "greedy", "skip")
+
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -142,9 +151,8 @@ class RoundResult:
     cache_misses: int = 0
     verified_centers: int = 0
     duration_seconds: float = 0.0
-    #: ``center_id -> ladder rung`` that produced its assignment; empty on
-    #: the legacy (non-fault-tolerant) path.  Rung names: ``primary``,
-    #: ``scalar``, ``greedy``, ``skip``.
+    #: ``center_id -> ladder rung`` that produced its assignment, one of
+    #: :data:`LADDER` (``primary``, ``greedy``, ``skip``).
     degraded: Mapping[str, str] = field(default_factory=dict)
     #: Whether the round solved with ledger-weighted equity utilities.
     equity_mode: bool = False
@@ -198,29 +206,24 @@ class DispatchEngine:
     epsilon:
         VDPS pruning threshold for every center's catalog.
     n_jobs:
-        Per-center solve parallelism: forwarded to
-        :func:`repro.parallel.solve_instance` on the legacy path, and the
-        size of the thread pool centers fan out across on the
-        fault-tolerant path.
+        Size of the thread pool a round's centers fan out across (1 =
+        inline).  Process parallelism is the shard pool's job.
     verify:
-        Run the assignment-level invariant checkers on every round.
+        Also check catalog membership, and raise a failed check from
+        :meth:`dispatch` instead of degrading the center.
     seed:
         Root seed of the engine's per-round streams.
     trace:
         ``False``/``True``/tracer instance, resolved like the solvers'
         ``trace=`` field.
     solve_deadline_s:
-        Per-center wall-clock budget for each solve attempt.  Setting it
-        (or ``faults``) switches per-center solving to the fault-tolerant
-        degradation ladder; ``None`` with no faults runs the legacy
-        bit-identical path.
+        Per-center wall-clock budget for each solve attempt; ``None``
+        solves inline without a budget.
     solve_retries:
         Extra attempts of the *primary* rung after its first failure,
         separated by exponential backoff with seeded jitter.
     backoff_base_s:
         Base of the retry backoff (doubled per retry, jittered ×[0.5, 1.5)).
-    scalar_round_cap:
-        ``max_rounds`` cap of the degraded scalar rung.
     breaker:
         Per-center circuit-breaker tuning (``None`` = defaults); centers
         whose breaker is open skip straight to the greedy rung.
@@ -266,7 +269,6 @@ class DispatchEngine:
         solve_deadline_s: Optional[float] = None,
         solve_retries: int = 1,
         backoff_base_s: float = 0.05,
-        scalar_round_cap: int = 50,
         breaker: Optional[BreakerConfig] = None,
         breaker_clock=time.monotonic,
         faults: Optional[FaultPlan] = None,
@@ -287,8 +289,6 @@ class DispatchEngine:
             raise ValueError(f"solve_retries must be >= 0, got {solve_retries}")
         if backoff_base_s < 0:
             raise ValueError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
-        if scalar_round_cap < 1:
-            raise ValueError(f"scalar_round_cap must be >= 1, got {scalar_round_cap}")
         if not equity_strength > 0:
             raise ValueError(
                 f"equity_strength must be > 0, got {equity_strength!r}"
@@ -312,16 +312,12 @@ class DispatchEngine:
         self._solve_deadline_s = solve_deadline_s
         self._solve_retries = solve_retries
         self._backoff_base_s = backoff_base_s
-        self._scalar_round_cap = scalar_round_cap
         self._faults = resolve_faults(faults)
         self._breakers = BreakerBoard(breaker, breaker_clock)
         # Timed-out solves that are still running, per center (each center
         # is handled by one thread per round, so no extra locking needed).
         self._abandoned: Dict[str, List[Future]] = {}
-        self._fault_tolerant = (
-            solve_deadline_s is not None or self._faults is not None
-        )
-        self._ladder = self._build_ladder() if self._fault_tolerant else ()
+        self._greedy = GTASolver(epsilon=epsilon)
         self._equity_mode = bool(equity_mode)
         self._equity_strength = float(equity_strength)
         if self._equity_mode:
@@ -365,11 +361,6 @@ class DispatchEngine:
     @property
     def faults(self) -> Optional[FaultPlan]:
         return self._faults
-
-    @property
-    def fault_tolerant(self) -> bool:
-        """Whether per-center solves run on the degradation ladder."""
-        return self._fault_tolerant
 
     @property
     def equity_mode(self) -> bool:
@@ -475,41 +466,9 @@ class DispatchEngine:
         p_dif = 0.0
         avg_p = 0.0
         if snapshot.subproblems:
-            if self._fault_tolerant:
-                solution, degraded, verified = self._solve_fault_tolerant(
-                    snapshot, index, tracer, baselines
-                )
-            else:
-                catalogs = {
-                    sub.center.center_id: self._cache.get(
-                        sub,
-                        snapshot.fingerprints[sub.center.center_id],
-                        self._epsilon,
-                    )
-                    for sub in snapshot.subproblems
-                }
-                METRICS.counter("dispatch.center_solves").add(
-                    len(snapshot.subproblems)
-                )
-                solution = solve_instance(
-                    snapshot.instance(),
-                    self._with_equity(self._solver, baselines),
-                    epsilon=self._epsilon,
-                    seed=self.round_seed(index),
-                    n_jobs=self._n_jobs,
-                    seed_stream=self._name,
-                    catalogs=catalogs,
-                )
-                if self._verify:
-                    for sub in snapshot.subproblems:
-                        center_id = sub.center.center_id
-                        verify_assignment(
-                            solution.assignments[center_id],
-                            sub=sub,
-                            catalog=catalogs[center_id],
-                            solver=self._name,
-                        )
-                        verified += 1
+            solution, degraded, verified = self._solve_centers(
+                snapshot, index, tracer, baselines
+            )
             for center_id, assignment in solution.assignments.items():
                 assignments[center_id] = dict(assignment.as_mapping())
                 for pair in assignment:
@@ -605,49 +564,6 @@ class DispatchEngine:
 
     # -- the degradation ladder ---------------------------------------------
 
-    def _build_ladder(self) -> Tuple[Tuple[str, object], ...]:
-        """``(rung_name, solver)`` pairs, most faithful first.
-
-        ``primary`` is the configured solver; ``scalar`` is its
-        deadline-capped scalar variant when the solver supports one (FGT /
-        IEGT dataclasses); ``greedy`` is the always-fast fairness-blind
-        GTA; ``skip`` (solver ``None``) assigns every worker the null
-        strategy so the center's tasks carry to the next round.
-        """
-        rungs: List[Tuple[str, object]] = [("primary", self._solver)]
-        scalar = self._scalar_variant()
-        if scalar is not None:
-            rungs.append(("scalar", scalar))
-        rungs.append(("greedy", GTASolver(epsilon=self._epsilon)))
-        rungs.append(("skip", None))
-        return tuple(rungs)
-
-    def _scalar_variant(self):
-        """A capped scalar copy of the primary solver, or ``None``."""
-        if getattr(self._solver, "engine", None) != "vectorized":
-            return None
-        max_rounds = getattr(self._solver, "max_rounds", self._scalar_round_cap)
-        changes: Dict[str, object] = {
-            "engine": "scalar",
-            "max_rounds": min(max_rounds, self._scalar_round_cap),
-        }
-        try:
-            return dataclasses.replace(
-                self._solver, deadline_s=self._solve_deadline_s, **changes
-            )
-        except TypeError:
-            pass  # solver has no deadline_s field (e.g. IEGT)
-        try:
-            return dataclasses.replace(self._solver, **changes)
-        except TypeError:
-            return None
-
-    def _greedy_rung_index(self) -> int:
-        for i, (name, _) in enumerate(self._ladder):
-            if name == "greedy":
-                return i
-        return len(self._ladder) - 1
-
     def _with_equity(self, solver, baselines):
         """An equity-mode copy of ``solver``, or ``solver`` unchanged.
 
@@ -672,23 +588,23 @@ class DispatchEngine:
             changes["equity_strength"] = self._equity_strength
         return dataclasses.replace(solver, **changes)
 
-    def _solve_fault_tolerant(
+    def _solve_centers(
         self,
         snapshot: WorldSnapshot,
         index: int,
         tracer: NullTracer,
         baselines: Optional[Mapping[str, float]] = None,
     ) -> Tuple[InstanceSolution, Dict[str, str], int]:
-        """Solve each center down the ladder; never raises.
+        """Solve each center down the ladder.
 
         Seeds are derived exactly like :func:`repro.parallel.solve_instance`
         (``RngFactory(round_seed).seed_for(f"{name}:{center}")``), so a
-        center whose primary rung succeeds is bit-identical to the legacy
-        path.  Centers fan out across an ``n_jobs``-bounded thread pool
-        (the thread analogue of the legacy path's sharding — process pools
-        cannot carry the breaker/cache state); seeds are derived up front
-        and each center's walk is independent, so results are
-        bit-identical regardless of scheduling.
+        center whose primary rung succeeds is bit-identical to an offline
+        solve.  Centers fan out across an ``n_jobs``-bounded thread pool
+        (threads share the breaker and cache state); seeds are derived up
+        front and each center's walk is independent, so results are
+        bit-identical regardless of scheduling.  Raises only a failed
+        check under ``verify=True``.
 
         Returns ``(solution, center -> rung, centers actually verified)``.
         """
@@ -768,13 +684,14 @@ class DispatchEngine:
         breaker = self._breakers.for_center(cid)
         start = 0
         if not breaker.allow_primary():
-            start = self._greedy_rung_index()
+            start = LADDER.index("greedy")
             METRICS.counter("dispatch.breaker_shortcuts").add(1)
-        for rung_index in range(start, len(self._ladder)):
-            rung_name, solver = self._ladder[rung_index]
+        for rung_index in range(start, len(LADDER)):
+            rung_name = LADDER[rung_index]
             if rung_name == "skip":
                 METRICS.counter("dispatch.centers_skipped").add(1)
                 return self._skip_assignment(sub), rung_name, True
+            solver = self._solver if rung_name == "primary" else self._greedy
             attempts = 1 + (self._solve_retries if rung_name == "primary" else 0)
             for attempt in range(attempts):
                 if attempt:
@@ -804,6 +721,8 @@ class DispatchEngine:
                     # A failure may stem from a rotten cache entry; evicting
                     # costs one rebuild and guarantees the retry is clean.
                     self._cache.invalidate(cid)
+                    if self._verify and isinstance(exc, InvariantViolation):
+                        raise  # verify=True: a failed check fails the round
                     if tracer.enabled:
                         tracer.event(
                             "service.solve_failure",
@@ -834,10 +753,11 @@ class DispatchEngine:
     ) -> Assignment:
         """One solve attempt under the deadline, fault hooks, and verify gate.
 
-        The catalog fetch runs *inside* the budgeted thread (a cold C-VDPS
-        build is usually the slow part).  The returned assignment is always
-        re-verified against the snapshot's sub-problem, so a tampered
-        catalog cannot smuggle an infeasible route past the ladder.
+        The catalog fetch and the check run *inside* the budgeted thread
+        (a cold C-VDPS build is usually the slow part).  The assignment is
+        always re-verified against the snapshot's sub-problem, so a
+        tampered catalog cannot smuggle an infeasible route past the
+        ladder; ``verify=True`` adds the catalog-membership check.
         """
         action = (
             self._faults.solver_action(round_index, cid, rung_index, attempt)
@@ -873,44 +793,48 @@ class DispatchEngine:
             ):
                 METRICS.counter("dispatch.injected_corruptions").add(1)
                 catalog = FaultPlan.tamper(catalog)
-            return solve_subproblem(
+            assignment = solve_subproblem(
                 sub, solver, epsilon=self._epsilon, seed=seed, catalog=catalog
             )
+            verify_assignment(
+                assignment,
+                sub=sub,
+                catalog=catalog if self._verify else None,
+                solver=self._name,
+            )
+            return assignment
 
         deadline = self._solve_deadline_s
         if deadline is None:
-            assignment = run()
-        else:
-            abandoned = self._abandoned.setdefault(cid, [])
-            abandoned[:] = [f for f in abandoned if not f.done()]
-            if len(abandoned) >= MAX_ABANDONED_SOLVES:
-                METRICS.counter("dispatch.hung_solve_rejections").add(1)
-                raise SolveTimeout(
-                    f"center {cid} still has {len(abandoned)} abandoned "
-                    f"solves running; refusing to start another "
-                    f"(rung {rung_index}, attempt {attempt})"
-                )
-            pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"solve-{cid}"
+            return run()
+        abandoned = self._abandoned.setdefault(cid, [])
+        abandoned[:] = [f for f in abandoned if not f.done()]
+        if len(abandoned) >= MAX_ABANDONED_SOLVES:
+            METRICS.counter("dispatch.hung_solve_rejections").add(1)
+            raise SolveTimeout(
+                f"center {cid} still has {len(abandoned)} abandoned "
+                f"solves running; refusing to start another "
+                f"(rung {rung_index}, attempt {attempt})"
             )
+        pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"solve-{cid}"
+        )
+        try:
+            future = pool.submit(run)
             try:
-                future = pool.submit(run)
-                try:
-                    assignment = future.result(timeout=deadline)
-                except _FutureTimeout:
-                    # The timed-out solve finishes (and is discarded) in
-                    # the background; remember it so a persistently hung
-                    # solver cannot leak one thread per attempt forever.
-                    abandoned.append(future)
-                    raise SolveTimeout(
-                        f"center {cid} solve exceeded {deadline:g}s "
-                        f"(rung {rung_index}, attempt {attempt})"
-                    ) from None
-            finally:
-                # wait=False keeps the round's budget honest.
-                pool.shutdown(wait=False)
-        verify_assignment(assignment, sub=sub, solver=self._name)
-        return assignment
+                return future.result(timeout=deadline)
+            except _FutureTimeout:
+                # The timed-out solve finishes (and is discarded) in
+                # the background; remember it so a persistently hung
+                # solver cannot leak one thread per attempt forever.
+                abandoned.append(future)
+                raise SolveTimeout(
+                    f"center {cid} solve exceeded {deadline:g}s "
+                    f"(rung {rung_index}, attempt {attempt})"
+                ) from None
+        finally:
+            # wait=False keeps the round's budget honest.
+            pool.shutdown(wait=False)
 
     def _backoff(self, round_index: int, cid: str, attempt: int) -> None:
         """Exponential backoff with deterministic seeded jitter."""
@@ -957,10 +881,7 @@ class DispatchEngine:
             if rung != "primary":
                 METRICS.counter("dispatch.degraded_total").add(1)
                 METRICS.counter(f"dispatch.degraded_{rung}").add(1)
-        if self._fault_tolerant:
-            METRICS.gauge("service.breaker.open").set(
-                self._breakers.open_count()
-            )
+        METRICS.gauge("service.breaker.open").set(self._breakers.open_count())
 
     def _record_fairness(self, result: RoundResult) -> None:
         """Rolling per-round fairness telemetry (the temporal-fairness hook).

@@ -341,7 +341,6 @@ class ShardedDispatchEngine:
         solve_deadline_s: Optional[float] = None,
         solve_retries: int = 1,
         backoff_base_s: float = 0.05,
-        scalar_round_cap: int = 50,
         faults: Optional[FaultPlan] = None,
         delta_catalog: bool = True,
         journal_dir=None,
@@ -370,9 +369,6 @@ class ShardedDispatchEngine:
         self._name = getattr(solver, "name", type(solver).__name__)
         self._epsilon = epsilon
         self._faults = resolve_faults(faults)
-        self._fault_tolerant = (
-            solve_deadline_s is not None or self._faults is not None
-        )
         self._history_limit = int(history_limit)
         self._history: List[RoundResult] = []
         self._last_committed: Optional[RoundResult] = None
@@ -424,7 +420,6 @@ class ShardedDispatchEngine:
                     solve_deadline_s=solve_deadline_s,
                     solve_retries=solve_retries,
                     backoff_base_s=backoff_base_s,
-                    scalar_round_cap=scalar_round_cap,
                     faults=worker_faults,
                     delta_catalog=delta_catalog,
                     journal_path=segment,
@@ -554,10 +549,6 @@ class ShardedDispatchEngine:
     @property
     def faults(self) -> Optional[FaultPlan]:
         return self._faults
-
-    @property
-    def fault_tolerant(self) -> bool:
-        return self._fault_tolerant
 
     @property
     def equity_mode(self) -> bool:

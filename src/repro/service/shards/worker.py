@@ -63,7 +63,6 @@ class ShardSpec:
     solve_deadline_s: Optional[float] = None
     solve_retries: int = 1
     backoff_base_s: float = 0.05
-    scalar_round_cap: int = 50
     faults: Optional[FaultPlan] = None
     delta_catalog: bool = True
     journal_path: Optional[str] = None
@@ -113,7 +112,6 @@ class _ShardService:
             solve_deadline_s=spec.solve_deadline_s,
             solve_retries=spec.solve_retries,
             backoff_base_s=spec.backoff_base_s,
-            scalar_round_cap=spec.scalar_round_cap,
             faults=spec.faults,
             delta_catalog=spec.delta_catalog,
         )

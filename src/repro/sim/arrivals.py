@@ -8,6 +8,7 @@ from a patience window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -24,6 +25,11 @@ class TaskArrival:
     ``expiry`` is *absolute* simulation time (hours since start), unlike
     :class:`~repro.core.entities.SpatialTask` whose expiry is relative to
     the assignment instant; the simulator converts between the two.
+
+    Times must be finite and the reward finite and non-negative: every
+    entry point (API coercion, the simulator, journal replay) builds
+    arrivals here, so a poisoned task is refused where it enters instead
+    of failing every later snapshot.
     """
 
     task_id: str
@@ -31,6 +37,18 @@ class TaskArrival:
     arrival_time: float
     expiry: float
     reward: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(
+                f"arrival_time must be finite, got {self.arrival_time!r}"
+            )
+        if not math.isfinite(self.expiry):
+            raise ValueError(f"expiry must be finite, got {self.expiry!r}")
+        if not (math.isfinite(self.reward) and self.reward >= 0):
+            raise ValueError(
+                f"reward must be finite and >= 0, got {self.reward!r}"
+            )
 
     def remaining(self, now: float) -> float:
         """Time left before expiry at ``now`` (may be negative)."""

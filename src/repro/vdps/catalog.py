@@ -268,7 +268,7 @@ def build_catalog(
         Distance-constrained pruning threshold; ``None`` disables pruning.
     kernel:
         Implementation tier for C-VDPS generation and the per-worker
-        validation scan (``"scalar"``, ``"vectorized"``, or ``"numba"``;
+        validation scan (``"scalar"`` or ``"vectorized"``;
         ``None`` resolves the process default — see
         :mod:`repro.kernels.config`).  Tiers are bit-identical: the same
         strategies, routes, payoffs, and index layout.

@@ -104,7 +104,7 @@ class DeltaCatalog:
         harness tests and the bench's ``identical`` flag run on it.
     kernel:
         Implementation tier for the full-rebuild DP and the full-worker
-        validation scans (``"scalar"``, ``"vectorized"``, or ``"numba"``;
+        validation scans (``"scalar"`` or ``"vectorized"``;
         ``None`` resolves the process default).  The delta surgery itself
         stays scalar — it touches few states by construction — and every
         tier lands on the same bit-identical tables, so deltas applied

@@ -158,9 +158,8 @@ def compute_states(
 
     This is the one expansion loop :func:`generate_cvdps` and the delta
     layer's rebuild path both run, so their state tables are identical by
-    construction.  ``kernel`` selects the implementation (``"scalar"``,
-    ``"vectorized"``, or ``"numba"``; ``None`` resolves the process
-    default) — every tier produces the same table bit for bit, the same
+    construction.  ``kernel`` selects the implementation (``"scalar"``
+    or ``"vectorized"``; ``None`` resolves the process default) — every tier produces the same table bit for bit, the same
     ``stats`` increments, and the same ``cvdps.layer`` events, which the
     seed-swept differential suite in ``tests/kernels/`` asserts.
     ``matrix`` optionally shares a prebuilt sorted-id
@@ -183,7 +182,6 @@ def compute_states(
             tracer,
             center_id,
             matrix=matrix,
-            use_numba=tier == "numba",
         )
     METRICS.counter("kernel.cvdps_scalar").add(1)
     states: Dict[_StateKey, _StateVal] = {}
@@ -270,11 +268,11 @@ def generate_cvdps(
         registry — the DP loop accumulates plain local integers, so the
         per-state overhead is a few increments either way.
     kernel:
-        DP implementation tier (``"scalar"``, ``"vectorized"``, or
-        ``"numba"``); ``None`` resolves the process default
-        (:mod:`repro.kernels.config`).  All tiers return bit-identical
-        entries.  The vectorized tiers additionally build the center's
-        travel matrix once and reuse its (Euclidean-metric) distances for
+        DP implementation tier (``"scalar"`` or ``"vectorized"``);
+        ``None`` resolves the process default
+        (:mod:`repro.kernels.config`).  Both tiers return bit-identical
+        entries.  The vectorized tier additionally builds the center's
+        travel matrix once and reuses its (Euclidean-metric) distances for
         the pruning neighbourhoods.
 
     Returns

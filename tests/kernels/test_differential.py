@@ -31,7 +31,6 @@ from repro.geo.travel import TravelModel
 from repro.kernels import (
     KERNEL_ENV_VAR,
     default_kernel,
-    numba_available,
     resolve_kernel,
     set_default_kernel,
 )
@@ -349,17 +348,9 @@ class TestKernelConfig:
         with pytest.raises(ValueError, match="kernel"):
             resolve_kernel("simd")
         with pytest.raises(ValueError, match="kernel"):
+            resolve_kernel("numba")  # only scalar and vectorized exist
+        with pytest.raises(ValueError, match="kernel"):
             set_default_kernel("simd")
-
-    def test_numba_request_is_always_safe(self):
-        before = METRICS.snapshot()
-        tier = resolve_kernel("numba")
-        if numba_available():
-            assert tier == "numba"
-        else:
-            # Degrades to the bit-identical vectorized kernels, counted.
-            assert tier == "vectorized"
-            assert METRICS.delta(before).get("kernel.numba_fallbacks") == 1
 
     def test_build_counters_name_the_serving_tier(self):
         sub = _gm_sub(0)

@@ -100,6 +100,23 @@ class TestErrorHandling:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_400(self, server, client, literal):
+        body = (
+            '{"tasks": [{"task_id": "x", "dp_id": "a1", "expiry": %s}]}' % literal
+        )
+        request = urllib.request.Request(
+            f"{server.url}/tasks",
+            data=body.encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert client.health()["pending_tasks"] == 6
+        assert client.dispatch()["committed"]
+
     def test_body_must_be_object(self, server):
         request = urllib.request.Request(
             f"{server.url}/tasks",

@@ -5,8 +5,10 @@ The ISSUE's robustness acceptance criteria live here:
 * with seeded ``FaultPlan`` chaos, every committed round still yields
   pairwise-disjoint, deadline-feasible (Definition 6 valid) assignments —
   the engine degrades, it never corrupts;
-* the fault-tolerant path with **no** faults is bit-identical to the
-  legacy engine (the differential guarantee);
+* with **no** faults every round is bit-identical to the offline
+  ``solve_instance`` reference on the same snapshot, at any ``n_jobs``
+  and with or without a solve deadline (the differential guarantee);
+* a solver exception degrades its center, never the whole round;
 * round wall-clock stays bounded by
   ``solve_deadline_s x ladder length x attempts x centers + epsilon``.
 """
@@ -18,6 +20,7 @@ import pytest
 
 from repro.games.fgt import FGTSolver
 from repro.obs.metrics import METRICS
+from repro.parallel import solve_instance
 from repro.service.breaker import BreakerConfig, OPEN
 from repro.service.engine import (
     MAX_ABANDONED_SOLVES,
@@ -26,7 +29,7 @@ from repro.service.engine import (
 )
 from repro.service.faults import FaultPlan
 
-from tests.service.conftest import make_world
+from tests.service.conftest import make_world, task
 
 EPSILON = 0.8
 
@@ -75,28 +78,55 @@ def _assert_round_valid(result):
 
 
 class TestDifferentialNoFault:
-    """Acceptance: the FT path without faults is bit-identical to legacy."""
+    """Acceptance: without faults every round equals the offline solve."""
 
-    def test_ft_engine_matches_legacy_bit_for_bit(self):
-        legacy = _engine(seed=11)
-        ft = _engine(seed=11, solve_deadline_s=60.0)
-        assert not legacy.fault_tolerant and ft.fault_tolerant
-        for _ in range(3):
-            a = legacy.dispatch(advance_hours=0.05)
-            b = ft.dispatch(advance_hours=0.05)
-            assert a.assignments == b.assignments
-            assert a.payoffs == b.payoffs
-            assert a.payoff_difference == b.payoff_difference
-            assert a.average_payoff == b.average_payoff
-            assert a.assigned_tasks == b.assigned_tasks
-            # Rounds with no pending work have no centers to degrade.
-            assert set(b.degraded.values()) <= {"primary"}
-        assert legacy.state.fingerprint() == ft.state.fingerprint()
+    @pytest.mark.parametrize("seed", [0, 11, 23])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("deadline", [None, 60.0])
+    def test_rounds_match_offline_solve_instance(self, seed, n_jobs, deadline):
+        engine = _engine(seed=seed, n_jobs=n_jobs, solve_deadline_s=deadline)
+        state = engine.state
+        solved = 0
+        for i in range(4):
+            if i:
+                state.add_tasks(
+                    [
+                        task(f"r{i}a", "a2", state.now + 1.3),
+                        task(f"r{i}b", "b1", state.now + 1.2),
+                    ]
+                )
+            # Advance here (the engine would do the same first) so the
+            # snapshot below is exactly the one the round solves.
+            state.advance(0.5)
+            state.expire()
+            snapshot = state.snapshot()
+            result = engine.dispatch()
+            assert result.round_index == i
+            if not snapshot.subproblems:
+                continue
+            offline = solve_instance(
+                snapshot.instance(),
+                FGTSolver(epsilon=EPSILON),
+                epsilon=EPSILON,
+                seed=engine.round_seed(i),
+                seed_stream="FGT",
+            )
+            assert result.assignments == {
+                cid: dict(a.as_mapping())
+                for cid, a in offline.assignments.items()
+            }
+            assert sorted(result.payoffs.values()) == sorted(offline.payoffs)
+            assert result.payoff_difference == offline.payoff_difference
+            assert result.average_payoff == offline.average_payoff
+            assert set(result.degraded.values()) == {"primary"}
+            assert result.verified_centers == len(result.center_ids)
+            solved += 1
+        assert solved >= 2
 
     def test_ft_thread_fanout_matches_serial(self):
-        # The fault-tolerant path honours n_jobs by fanning centers out
-        # across a thread pool; seeds are derived per center up front, so
-        # the result is bit-identical to the serial walk.
+        # n_jobs fans centers out across a thread pool; seeds are derived
+        # per center up front, so the result is bit-identical to the
+        # serial walk.
         serial = _engine(seed=11, solve_deadline_s=60.0)
         threaded = _engine(seed=11, solve_deadline_s=60.0, n_jobs=4)
         for _ in range(2):
@@ -109,16 +139,41 @@ class TestDifferentialNoFault:
         assert serial.state.fingerprint() == threaded.state.fingerprint()
 
     def test_inactive_fault_plan_is_still_bit_identical(self):
-        legacy = _engine(seed=11)
-        ft = _engine(seed=11, faults=FaultPlan(seed=1))  # all rates zero
-        a = legacy.dispatch()
-        b = ft.dispatch()
+        plain = _engine(seed=11)
+        planned = _engine(seed=11, faults=FaultPlan(seed=1))  # all rates zero
+        a = plain.dispatch()
+        b = planned.dispatch()
         assert a.assignments == b.assignments
         assert a.payoffs == b.payoffs
 
 
 class TestDegradationLadder:
     """Injected faults walk the ladder; every rung's output is verified."""
+
+    def test_raising_primary_commits_a_verified_greedy_round(self):
+        class _BrokenSolver(FGTSolver):
+            """FGT whose every solve raises, like a solver bug would."""
+
+            def solve(self, sub, **kwargs):
+                raise RuntimeError("solver bug")
+
+        engine = DispatchEngine(
+            make_world(), _BrokenSolver(epsilon=EPSILON), seed=11,
+            epsilon=EPSILON,
+        )
+        failures = METRICS.counter("dispatch.solve_failures").value
+        result = engine.dispatch()
+        assert result.committed
+        assert set(result.degraded.values()) == {"greedy"}
+        assert set(result.degraded) == set(result.center_ids)
+        assert result.verified_centers == len(result.center_ids)
+        assert result.assigned_tasks > 0
+        _assert_round_valid(result)
+        # The primary rung ran (and failed) once plus its default retry.
+        assert (
+            METRICS.counter("dispatch.solve_failures").value - failures
+            == 2 * len(result.center_ids)
+        )
 
     def test_injected_errors_degrade_but_commit_validly(self):
         engine = _engine(
@@ -222,7 +277,7 @@ class TestDeadlines:
         # at the deadline and the center must fall through to skip.
         assert set(result.degraded.values()) == {"skip"}
         centers = len(result.center_ids)
-        ladder = 4  # primary, scalar, greedy, skip
+        ladder = 3  # primary, greedy, skip
         bound = deadline * ladder * (1 + retries) * centers + 1.0
         assert elapsed <= bound, f"round took {elapsed:.2f}s > bound {bound:.2f}s"
         assert METRICS.counter("dispatch.solve_timeouts").value > 0

@@ -6,7 +6,7 @@ delta engine and a rebuild-per-miss control engine through identical churn
 sequences and assert every round is bit-identical — payoffs, routes,
 Equation 2 ``P_dif`` — including across a write-ahead-journal crash-recover
 cycle with a persistent catalog store (warm restart), and under injected
-chaos on the fault-tolerant ladder.
+chaos on the degradation ladder.
 """
 
 import shutil

@@ -6,9 +6,12 @@ of that snapshot, and warm-cache rounds under churn are bit-identical to
 cold-cache rounds while unchanged centers produce cache hits.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.gta import GTASolver
+from repro.core.assignment import Assignment, WorkerAssignment
 from repro.core.exceptions import InvariantViolation
 from repro.experiments.runner import AlgorithmSpec, run_algorithms
 from repro.games.fgt import FGTSolver
@@ -152,6 +155,44 @@ class TestDispatchRounds:
         engine = _engine(seed=2, verify=True)
         result = engine.dispatch()
         assert result.verified_centers == len(result.center_ids) > 0
+
+    def test_failed_check_raises_under_verify_and_degrades_without(self):
+        class _DoubleBookingSolver(FGTSolver):
+            """FGT that hands one route to every worker of a center."""
+
+            def solve(self, sub, **kwargs):
+                result = super().solve(sub, **kwargs)
+                routes = [p.route for p in result.assignment if p.route]
+                if len(sub.workers) < 2 or not routes:
+                    return result
+                booked = Assignment(
+                    [WorkerAssignment(w, routes[0]) for w in sub.workers],
+                    validate=False,
+                )
+                return dataclasses.replace(result, assignment=booked)
+
+        def engine(verify):
+            return DispatchEngine(
+                make_world(),
+                _DoubleBookingSolver(epsilon=0.8),
+                epsilon=0.8,
+                seed=2,
+                verify=verify,
+                backoff_base_s=0.0,
+            )
+
+        strict = engine(verify=True)
+        pending = strict.state.pending_task_count
+        with pytest.raises(InvariantViolation):
+            strict.dispatch()
+        assert strict.last_committed is None
+        assert strict.state.pending_task_count == pending
+
+        # Without verify the ladder absorbs the bad center (A has two
+        # workers); B's single worker cannot be double-booked.
+        result = engine(verify=False).dispatch()
+        assert result.committed
+        assert result.degraded == {"A": "greedy", "B": "primary"}
 
     def test_failing_round_propagates_not_swallowed(self):
         # The engine surfaces round failures (the API layer maps them to

@@ -55,8 +55,9 @@ class TestSpanTreeCompleteness:
         assert len(round_roots) == 1
 
     def test_fault_tolerant_parallel_round_has_no_orphans(self):
-        # The thread pool must not break causality: every center span and
-        # rung span reconnects to its round even with n_jobs > 1.
+        # The thread pool and the deadline thread must not break
+        # causality: every center span and rung span reconnects to its
+        # round even with n_jobs > 1.
         tracer = MemoryTracer()
         engine = _engine(trace=tracer, solve_deadline_s=30.0, n_jobs=2)
         engine.dispatch()

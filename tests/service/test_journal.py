@@ -266,6 +266,29 @@ class TestWorldStateDurability:
         second = WorldState.recover(path, resume=False)
         assert second.fingerprint() == recovered.fingerprint()
 
+    def test_recover_refuses_poisoned_task_record(self, tmp_path):
+        # A CRC-valid record carrying a non-finite expiry (as journaled
+        # before arrivals were validated) must not be replayed into a
+        # world whose every snapshot would then raise.
+        path = tmp_path / "world.jsonl"
+        state = _journaled_world(path)
+        state.add_tasks(seed_tasks())
+        records, _, _ = WorldJournal.read(path)
+        poisoned = {**task("p", "a1", 2.0), "arrival_time": 0.0}
+        poisoned["expiry"] = float("nan")
+        body = json.dumps(
+            {
+                "seq": records[-1].seq + 1,
+                "kind": "tasks",
+                "data": {"tasks": [poisoned]},
+            }
+        )
+        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        with path.open("a") as fh:
+            fh.write(f"{crc:08x} {body}\n")
+        with pytest.raises(ValueError, match="expiry must be finite"):
+            WorldState.recover(path, resume=False)
+
     def test_recover_rejects_empty_and_headless_journals(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

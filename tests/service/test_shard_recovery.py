@@ -7,8 +7,8 @@ the pool must respawn it, replay its segment, and end bit-identical to a
 run where nothing ever died.  "Identical" here is literal: every round
 record and the facade fingerprint are compared field by field.
 
-All arms set ``solve_deadline_s`` so an inherited ``REPRO_FAULTS`` puts
-every engine on the same fault-tolerant ladder.
+All arms set the same ``solve_deadline_s``, so every engine walks the
+degradation ladder under the same budget.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ sharded engine must produce bit-identical rounds to the single-process
 engine, and the facade must present the same duck-typed surface the HTTP
 layer already speaks.
 
-Every arm sets ``solve_deadline_s`` so an inherited ``REPRO_FAULTS`` (the
-chaos-smoke CI job exports one) cannot put one arm on the fault-tolerant
-ladder and not the other.
+Every arm sets the same ``solve_deadline_s``, so both arms walk the
+degradation ladder under the same budget.
 """
 
 from __future__ import annotations

@@ -87,6 +87,35 @@ class TestAddTasks:
         accepted, rejected = state.add_tasks([{"task_id": "t"}])  # no dp/expiry
         assert accepted == [] and len(rejected) == 1
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"expiry": float("nan")},
+            {"expiry": float("inf")},
+            {"arrival_time": float("nan")},
+            {"reward": -3.0},
+            {"reward": float("nan")},
+            {"reward": float("inf")},
+        ],
+    )
+    def test_non_finite_or_negative_fields_rejected(self, bad):
+        # One poisoned task used to be accepted and journaled, after which
+        # every snapshot (so every dispatch) raised for good.
+        state = make_world()
+        version = state.version
+        accepted, rejected = state.add_tasks([{**task("bad", "a1", 2.0), **bad}])
+        assert accepted == []
+        assert [r.item_id for r in rejected] == ["bad"]
+        assert state.version == version
+        snapshot = state.snapshot()
+        solve_instance(snapshot.instance(), GTASolver(), seed=0)
+
+    def test_task_arrival_validates_on_construction(self):
+        with pytest.raises(ValueError, match="expiry must be finite"):
+            TaskArrival("t", "a1", arrival_time=0.0, expiry=float("nan"))
+        with pytest.raises(ValueError, match="reward"):
+            TaskArrival("t", "a1", arrival_time=0.0, expiry=1.0, reward=-3.0)
+
     def test_accepts_task_arrival_entities(self):
         state = make_world(with_tasks=False)
         arrival = TaskArrival("t", "b1", arrival_time=0.0, expiry=2.0)
