@@ -348,14 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(same syntax as the REPRO_FAULTS env var; testing only)",
     )
     srv.add_argument(
-        "--catalog-store",
-        type=Path,
-        default=None,
-        help="directory for persistent catalog warm-starts: drained "
-        "shutdowns save each center's incremental catalog there and the "
-        "next start refreshes it instead of paying cold C-VDPS builds",
-    )
-    srv.add_argument(
         "--no-delta-catalog",
         action="store_true",
         help="rebuild catalogs from scratch on every cache miss instead "
@@ -901,6 +893,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``serve``: one body for the single-process engine and the shard pool.
+
+    Both engines are built from the same options dict.  With
+    ``--shards N > 1`` the layout always comes from the instance (CSV dir
+    or generated city) and ``--journal`` is a directory of per-shard
+    segments, so a recovering run must be started with the same
+    input/seed as the crashed one.
+    """
     import signal
 
     from repro.obs.metrics import METRICS
@@ -909,48 +909,100 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         DispatchEngine,
         DispatchServer,
         FaultPlan,
+        ShardedDispatchEngine,
         WorldJournal,
         WorldState,
     )
-    from repro.vdps.store import CatalogStore
 
     _apply_kernel(args)
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    if args.shards > 1:
-        return _serve_sharded(args)
-    recovered = False
-    if args.journal is not None and args.journal.exists():
-        # Crash recovery: replay the write-ahead journal into a
-        # bit-identical world and keep journaling to the same file.
-        state = WorldState.recover(
-            args.journal, compact_every=args.journal_compact_every
+    sharded = args.shards > 1
+    if sharded and args.equity:
+        print(
+            "error: --equity is not supported with --shards > 1 "
+            "(the cross-round ledger needs a single world)",
+            file=sys.stderr,
         )
-        recovered = True
-    else:
-        if args.input is not None:
-            instance = load_instance(args.input)
-        else:
-            config = GMissionConfig(
-                n_tasks=args.tasks,
-                n_workers=args.workers,
-                n_delivery_points=args.delivery_points,
-            )
-            instance = generate_gmission_like(config, seed=args.seed)
+        return 2
 
-        state = WorldState(instance.centers, travel=instance.travel)
-        if args.journal is not None:
-            state.attach_journal(
-                WorldJournal(
-                    args.journal, compact_every=args.journal_compact_every
-                )
+    options = dict(
+        epsilon=args.epsilon,
+        n_jobs=args.n_jobs,
+        verify=args.verify,
+        seed=args.seed,
+        solve_deadline_s=args.solve_deadline_s,
+        solve_retries=args.solve_retries,
+        breaker=BreakerConfig(
+            failure_threshold=args.breaker_failures,
+            cooldown_s=args.breaker_cooldown_s,
+        ),
+        faults=None if args.faults is None else FaultPlan.from_spec(args.faults),
+        delta_catalog=not args.no_delta_catalog,
+    )
+    if args.equity:
+        options["equity_mode"] = True
+        if args.equity_strength is not None:
+            options["equity_strength"] = args.equity_strength
+    solver = _SOLVERS[args.algorithm](args.epsilon)
+
+    def load():
+        if args.input is not None:
+            return load_instance(args.input)
+        config = GMissionConfig(
+            n_tasks=args.tasks,
+            n_workers=args.workers,
+            n_delivery_points=args.delivery_points,
+        )
+        return generate_gmission_like(config, seed=args.seed)
+
+    instance = None
+    if sharded:
+        instance = load()
+        recovered = args.journal is not None and any(
+            args.journal.glob("shard-*.jsonl")
+        )
+        engine = ShardedDispatchEngine(
+            instance.centers,
+            solver,
+            travel=instance.travel,
+            shards=args.shards,
+            journal_dir=args.journal,
+            journal_compact_every=args.journal_compact_every,
+            queue_bound=args.queue_bound,
+            **options,
+        )
+    else:
+        recovered = args.journal is not None and args.journal.exists()
+        if recovered:
+            # Crash recovery: replay the write-ahead journal into a
+            # bit-identical world and keep journaling to the same file.
+            state = WorldState.recover(
+                args.journal, compact_every=args.journal_compact_every
             )
-        # Attach the fleet through the churn path (assigns free-floating
-        # workers to their nearest center, exactly like subproblems()).
+        else:
+            instance = load()
+            state = WorldState(instance.centers, travel=instance.travel)
+            if args.journal is not None:
+                state.attach_journal(
+                    WorldJournal(
+                        args.journal, compact_every=args.journal_compact_every
+                    )
+                )
+        if args.equity:
+            # Attach (or keep the recovered) ledger before the engine
+            # starts; decay/window only shape a fresh ledger.
+            state.enable_equity(decay=args.equity_decay, window=args.equity_window)
+        engine = DispatchEngine(state, solver, **options)
+    state = engine.state
+    if not recovered:
+        # Seed through the churn path: free-floating workers attach to
+        # their nearest center exactly like subproblems(), and the
+        # instance's relative expiries become absolute at t=0.  A
+        # recovered run already carries fleet and queue in its journal.
         state.add_workers(instance.workers)
         if not args.no_initial_tasks:
-            # The instance's relative expiries become absolute at t=0.
             state.add_tasks(
                 [
                     {
@@ -964,39 +1016,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ]
             )
 
-    if args.equity:
-        # Attach (or keep the recovered) ledger before the engine starts;
-        # decay/window only shape a fresh ledger.
-        state.enable_equity(decay=args.equity_decay, window=args.equity_window)
-
-    solver = _SOLVERS[args.algorithm](args.epsilon)
-    equity_kwargs = {}
-    if args.equity:
-        equity_kwargs["equity_mode"] = True
-        if args.equity_strength is not None:
-            equity_kwargs["equity_strength"] = args.equity_strength
-    engine = DispatchEngine(
-        state,
-        solver,
-        epsilon=args.epsilon,
-        n_jobs=args.n_jobs,
-        verify=args.verify,
-        seed=args.seed,
-        **equity_kwargs,
-        solve_deadline_s=args.solve_deadline_s,
-        solve_retries=args.solve_retries,
-        breaker=BreakerConfig(
-            failure_threshold=args.breaker_failures,
-            cooldown_s=args.breaker_cooldown_s,
-        ),
-        faults=None if args.faults is None else FaultPlan.from_spec(args.faults),
-        delta_catalog=not args.no_delta_catalog,
-        catalog_store=(
-            None
-            if args.catalog_store is None or args.no_delta_catalog
-            else CatalogStore(args.catalog_store)
-        ),
-    )
     server = DispatchServer(engine, host=args.host, port=args.port)
     if args.port_file is not None:
         args.port_file.parent.mkdir(parents=True, exist_ok=True)
@@ -1011,6 +1030,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"  centers={len(state.centers)} workers={state.worker_count} "
         f"pending_tasks={state.pending_task_count}"
     )
+    if sharded:
+        print(f"  shards={args.shards} queue_bound={args.queue_bound}")
+        for shard_id, entry in sorted(engine.shard_health().items()):
+            print(
+                f"    shard {shard_id}: pid={entry['pid']} "
+                f"centers={','.join(entry['centers'])} status={entry['status']}"
+            )
     if args.journal is not None:
         print(
             f"  journal={args.journal}"
@@ -1036,134 +1062,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         "  endpoints: POST /tasks /workers /dispatch /shutdown · "
         "GET /assignments /healthz /metrics /slo /equity"
-    )
-    sys.stdout.flush()
-
-    def _stop(signum, frame):  # noqa: ARG001
-        print("signal received, draining in-flight dispatch ...", file=sys.stderr)
-        server.request_stop()
-
-    previous = {
-        sig: signal.signal(sig, _stop) for sig in (signal.SIGINT, signal.SIGTERM)
-    }
-    try:
-        server.serve_forever()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    print()
-    print(f"served {engine.rounds_dispatched} dispatch rounds; final metrics:")
-    print(METRICS.format())
-    return 0
-
-
-def _serve_sharded(args: argparse.Namespace) -> int:
-    """``serve --shards N``: the supervised multi-process pool.
-
-    The layout always comes from the instance (CSV dir or generated
-    city); per-shard journal segments under ``--journal`` (a directory
-    here) restore each partition's dynamic state, so a recovering run
-    must be started with the same input/seed as the crashed one.
-    """
-    import signal
-
-    from repro.obs.metrics import METRICS
-    from repro.service import DispatchServer, FaultPlan, ShardedDispatchEngine
-
-    if args.equity:
-        print(
-            "error: --equity is not supported with --shards > 1 "
-            "(the cross-round ledger needs a single world)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.catalog_store is not None:
-        print(
-            "warning: --catalog-store is ignored with --shards > 1 "
-            "(shard workers rebuild their catalogs on boot)",
-            file=sys.stderr,
-        )
-
-    if args.input is not None:
-        instance = load_instance(args.input)
-    else:
-        config = GMissionConfig(
-            n_tasks=args.tasks,
-            n_workers=args.workers,
-            n_delivery_points=args.delivery_points,
-        )
-        instance = generate_gmission_like(config, seed=args.seed)
-    recovered = args.journal is not None and any(
-        args.journal.glob("shard-*.jsonl")
-    )
-
-    solver = _SOLVERS[args.algorithm](args.epsilon)
-    engine = ShardedDispatchEngine(
-        instance.centers,
-        solver,
-        travel=instance.travel,
-        epsilon=args.epsilon,
-        shards=args.shards,
-        n_jobs=args.n_jobs,
-        verify=args.verify,
-        seed=args.seed,
-        solve_deadline_s=args.solve_deadline_s,
-        solve_retries=args.solve_retries,
-        faults=None if args.faults is None else FaultPlan.from_spec(args.faults),
-        delta_catalog=not args.no_delta_catalog,
-        journal_dir=args.journal,
-        journal_compact_every=args.journal_compact_every,
-        queue_bound=args.queue_bound,
-    )
-    state = engine.state
-    if not recovered:
-        # Seed through the churn path exactly like single-process serve;
-        # a recovered run already carries fleet and queue in its segments.
-        state.add_workers(instance.workers)
-        if not args.no_initial_tasks:
-            state.add_tasks(
-                [
-                    {
-                        "task_id": task.task_id,
-                        "dp_id": task.delivery_point_id,
-                        "expiry": task.expiry,
-                        "reward": task.reward,
-                    }
-                    for center in instance.centers
-                    for task in center.tasks
-                ]
-            )
-
-    server = DispatchServer(engine, host=args.host, port=args.port)
-    if args.port_file is not None:
-        args.port_file.parent.mkdir(parents=True, exist_ok=True)
-        args.port_file.write_text(f"{server.port}\n")
-
-    print(f"dispatch service listening on {server.url}")
-    print(
-        f"  algorithm={engine.solver_name} epsilon={args.epsilon} "
-        f"n_jobs={args.n_jobs} verify={args.verify} seed={args.seed}"
-    )
-    print(
-        f"  shards={args.shards} queue_bound={args.queue_bound} "
-        f"centers={len(state.centers)} workers={state.worker_count} "
-        f"pending_tasks={state.pending_task_count}"
-    )
-    for shard_id, entry in sorted(engine.shard_health().items()):
-        print(
-            f"    shard {shard_id}: pid={entry['pid']} "
-            f"centers={','.join(entry['centers'])} status={entry['status']}"
-        )
-    if args.journal is not None:
-        print(
-            f"  journal_dir={args.journal}"
-            f"{' (segments recovered from previous run)' if recovered else ''}"
-        )
-    if engine.faults is not None:
-        print(f"  faults=[{engine.faults.describe()}]")
-    print(
-        "  endpoints: POST /tasks /workers /dispatch /shutdown · "
-        "GET /assignments /healthz /metrics /slo"
     )
     sys.stdout.flush()
 

@@ -226,9 +226,12 @@ class Worker:
                 f"max_delivery_points must be a positive int, got "
                 f"{self.max_delivery_points!r}"
             )
-        if self.speed_kmh is not None and not self.speed_kmh > 0:
+        if self.speed_kmh is not None and not (
+            math.isfinite(self.speed_kmh) and self.speed_kmh > 0
+        ):
             raise ValueError(
-                f"speed_kmh must be positive or None, got {self.speed_kmh!r}"
+                f"speed_kmh must be finite and positive or None, got "
+                f"{self.speed_kmh!r}"
             )
 
     def assigned_to(self, center_id: str) -> "Worker":

@@ -422,8 +422,6 @@ METRICS = MetricsRegistry()
 #: * ``catalog.delta_workers_revalidated`` — workers whose own content
 #:   changed and were re-validated against the full entry table (untouched
 #:   workers get patched incrementally).
-#: * ``catalog.delta_store_saves`` / ``catalog.delta_store_loads`` /
-#:   ``catalog.delta_store_errors`` — persistent-store traffic.
 #: * ``catalog.delta_refresh_seconds`` — histogram of refresh wall-clock
 #:   (both the delta and the fallback path).
 CATALOG_DELTA_METRICS = (
@@ -436,9 +434,6 @@ CATALOG_DELTA_METRICS = (
     "catalog.delta_entries_added",
     "catalog.delta_entries_removed",
     "catalog.delta_workers_revalidated",
-    "catalog.delta_store_saves",
-    "catalog.delta_store_loads",
-    "catalog.delta_store_errors",
     "catalog.delta_refresh_seconds",
 )
 

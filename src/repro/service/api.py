@@ -76,6 +76,14 @@ def _reject_non_finite(literal: str) -> float:
     raise ApiError(400, f"invalid JSON body: non-finite number {literal}")
 
 
+def _parse_finite(literal: str) -> float:
+    """``json.loads`` hook: refuse a number like ``1e400`` that overflows to inf."""
+    value = float(literal)
+    if not math.isfinite(value):
+        _reject_non_finite(literal)
+    return value
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the server's engine; one instance per request."""
 
@@ -96,7 +104,9 @@ class _Handler(BaseHTTPRequestHandler):
             return {}
         try:
             payload = json.loads(
-                raw.decode("utf-8"), parse_constant=_reject_non_finite
+                raw.decode("utf-8"),
+                parse_constant=_reject_non_finite,
+                parse_float=_parse_finite,
             )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ApiError(400, f"invalid JSON body: {exc}")

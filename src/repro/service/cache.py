@@ -14,10 +14,7 @@ A changed fingerprint no longer means a from-scratch rebuild, though: in
 delta mode (the default) each center keeps a
 :class:`~repro.vdps.delta.DeltaCatalog` alive between rounds and a miss is
 served by ``refresh(sub)`` — state surgery over whatever actually churned,
-with the rebuild fallback handled inside the delta layer.  A
-:class:`~repro.vdps.store.CatalogStore` additionally survives restarts:
-the first miss for a center tries the store before paying a cold build, and
-:meth:`persist` (called by the engine's drain) writes the live deltas back.
+with the rebuild fallback handled inside the delta layer.
 
 Either way a hit returns the *identical* catalog a cold build would produce
 (the fingerprint covers every catalog input, and the delta layer's refresh
@@ -37,7 +34,6 @@ from repro.core.instance import SubProblem
 from repro.obs.metrics import METRICS
 from repro.vdps.catalog import VDPSCatalog, build_catalog
 from repro.vdps.delta import DeltaCatalog
-from repro.vdps.store import CatalogStore
 
 
 class SnapshotCatalogCache:
@@ -55,9 +51,6 @@ class SnapshotCatalogCache:
         :class:`DeltaCatalog` instead of rebuilding from scratch.  Output
         is identical either way; ``False`` restores the PR-5 behaviour
         (used by the bit-identity tests as the control arm).
-    store:
-        Optional persistent store consulted on a center's *first* miss and
-        written by :meth:`persist`; ignored when ``delta`` is off.
     rebuild_fraction:
         Forwarded to every :class:`DeltaCatalog` this cache creates.
     """
@@ -65,20 +58,17 @@ class SnapshotCatalogCache:
     def __init__(
         self,
         delta: bool = True,
-        store: Optional[CatalogStore] = None,
         rebuild_fraction: float = 0.5,
     ) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[str, Tuple[str, Optional[float], VDPSCatalog]] = {}
         self._delta = bool(delta)
-        self._store = store
         self._rebuild_fraction = float(rebuild_fraction)
         self._deltas: Dict[str, DeltaCatalog] = {}
         # Serialises builds/refreshes per center: an abandoned (timed-out)
         # solve may still be fetching a catalog when the retry starts, and
         # a DeltaCatalog mutates in place during refresh.
         self._center_locks: Dict[str, threading.Lock] = {}
-        self._store_checked: Dict[str, bool] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -87,10 +77,6 @@ class SnapshotCatalogCache:
     @property
     def delta_enabled(self) -> bool:
         return self._delta
-
-    @property
-    def store(self) -> Optional[CatalogStore]:
-        return self._store
 
     def get(
         self, sub: SubProblem, fingerprint: str, epsilon: Optional[float]
@@ -133,51 +119,12 @@ class SnapshotCatalogCache:
             delta = self._deltas.get(center_id)
         if delta is not None and delta.epsilon == epsilon:
             return delta.refresh(sub)
-        if self._store is not None and not self._store_checked.get(center_id):
-            self._store_checked[center_id] = True
-            loaded = self._store.load(center_id, epsilon)
-            if loaded is not None:
-                _, restored = loaded
-                try:
-                    # Replays whatever churned since the save; may fall
-                    # back to a rebuild internally, never to wrong output.
-                    catalog = restored.refresh(sub)
-                except Exception:  # noqa: BLE001 — a rotten payload is a miss
-                    METRICS.counter("catalog.delta_store_errors").add(1)
-                else:
-                    with self._lock:
-                        self._deltas[center_id] = restored
-                    return catalog
         delta = DeltaCatalog(
             sub, epsilon=epsilon, rebuild_fraction=self._rebuild_fraction
         )
         with self._lock:
             self._deltas[center_id] = delta
         return delta.catalog
-
-    def persist(self) -> int:
-        """Save every live delta catalog to the store; returns the count.
-
-        Called by the engine's drain so a restart warm-starts from disk.
-        No-op (0) without a store or in non-delta mode; save failures are
-        counted (``catalog.delta_store_errors``) but never raised —
-        shutdown must not fail on a full disk.
-        """
-        if self._store is None or not self._delta:
-            return 0
-        with self._lock:
-            deltas = dict(self._deltas)
-            fingerprints = {cid: entry[0] for cid, entry in self._entries.items()}
-            locks = {
-                cid: self._center_locks.setdefault(cid, threading.Lock())
-                for cid in deltas
-            }
-        saved = 0
-        for cid, delta in deltas.items():
-            with locks[cid]:  # never pickle a delta mid-refresh
-                if self._store.save(cid, fingerprints.get(cid, ""), delta):
-                    saved += 1
-        return saved
 
     def invalidate(self, center_id: str) -> bool:
         """Drop one center's entry *and* its delta state; True if either existed.
@@ -190,7 +137,6 @@ class SnapshotCatalogCache:
         with self._lock:
             had_entry = self._entries.pop(center_id, None) is not None
             had_delta = self._deltas.pop(center_id, None) is not None
-            self._store_checked.pop(center_id, None)
         return had_entry or had_delta
 
     def clear(self) -> None:
@@ -198,4 +144,3 @@ class SnapshotCatalogCache:
         with self._lock:
             self._entries.clear()
             self._deltas.clear()
-            self._store_checked.clear()

@@ -54,7 +54,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from contextlib import nullcontext
 
@@ -67,6 +67,7 @@ from repro.core.fairness import (
     jain_index,
 )
 from repro.core.instance import SubProblem
+from repro.core.payoff import average_payoff, payoff_difference
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import (
     NullTracer,
@@ -75,10 +76,9 @@ from repro.obs.tracer import (
     resolve_tracer,
     start_trace,
 )
-from repro.parallel import InstanceSolution, solve_subproblem
+from repro.parallel import solve_subproblem
 from repro.service.breaker import BreakerBoard, BreakerConfig
 from repro.service.cache import SnapshotCatalogCache
-from repro.vdps.store import CatalogStore
 from repro.service.faults import FaultPlan, InjectedFault, resolve_faults
 from repro.service.state import WorldSnapshot, WorldState
 from repro.utils.rng import RngFactory, SeedLike
@@ -194,6 +194,106 @@ class RoundResult:
         return data
 
 
+def pool_centers(
+    rows: Mapping[str, Sequence[Tuple[str, Sequence[str], float]]],
+) -> Tuple[
+    Dict[str, Dict[str, Tuple[str, ...]]], Dict[str, float], float, float
+]:
+    """Pool one round's per-center ``(worker, route, payoff)`` rows.
+
+    Returns ``(assignments, payoffs, P_dif, average payoff)``.  Centers
+    fold in sorted id order and rows in pair order — the order
+    :attr:`repro.parallel.InstanceSolution.payoffs` pools them in — so the
+    Equation 2 ``P_dif`` and the order-sensitive ``np.mean`` average are
+    bit-identical to an offline solve, however (and wherever) the centers
+    were solved.
+    """
+    assignments: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+    payoffs: Dict[str, float] = {}
+    ordered: List[float] = []
+    for cid in sorted(rows):
+        routes = assignments[cid] = {}
+        for worker_id, route, payoff in rows[cid]:
+            routes[worker_id] = tuple(route)
+            payoffs[worker_id] = payoff
+            ordered.append(payoff)
+    return (
+        assignments,
+        payoffs,
+        payoff_difference(ordered),
+        average_payoff(ordered),
+    )
+
+
+class RoundLog:
+    """Round history plus the per-round telemetry every engine facade emits.
+
+    Keeps the last ``history_limit`` rounds and the last committed one, and
+    feeds the ``service.*``, ``fairness.*`` and ``dispatch.degraded_*``
+    metrics the dashboards and SLOs read.  Both the single-process engine
+    and the sharded facade record through one instance each, so the two
+    surfaces cannot drift apart.
+    """
+
+    def __init__(self, history_limit: int) -> None:
+        if history_limit < 1:
+            raise ValueError(f"history_limit must be >= 1, got {history_limit}")
+        self._limit = int(history_limit)
+        self._history: List[RoundResult] = []
+        self.last_committed: Optional[RoundResult] = None
+
+    @property
+    def history(self) -> List[RoundResult]:
+        return list(self._history)
+
+    def record(self, result: RoundResult, ledger=None) -> None:
+        """Append ``result`` and emit its metrics.
+
+        Gini/Jain over the round's per-worker payoffs land in gauges and
+        every payoff feeds a histogram, so an operator can watch equity
+        drift across rounds.  Payoffs are clamped at zero for the Gini
+        (which rejects negatives).  With an equity ``ledger`` attached, its
+        rolling-window indices land in the ``fairness.rolling_*`` gauges
+        and every worker's decayed cumulative payoff feeds the
+        income-trajectory histogram.
+        """
+        self._history.append(result)
+        if len(self._history) > self._limit:
+            del self._history[: -self._limit]
+        METRICS.counter("service.rounds").add(1)
+        if result.committed:
+            self.last_committed = result
+            METRICS.counter("service.rounds.committed").add(1)
+        METRICS.histogram("service.dispatch_seconds").observe(
+            result.duration_seconds
+        )
+        METRICS.gauge("service.pending_tasks").set(result.pending_tasks)
+        METRICS.gauge("service.available_workers").set(result.available_workers)
+        METRICS.gauge("service.round.payoff_difference").set(
+            result.payoff_difference
+        )
+        if result.rolling_gini is not None:
+            METRICS.gauge("fairness.rolling_gini").set(result.rolling_gini)
+            METRICS.gauge("fairness.rolling_jain").set(result.rolling_jain)
+            if ledger is not None:
+                cumulative_hist = METRICS.histogram(
+                    "fairness.worker_cumulative_payoff"
+                )
+                for value in ledger.baselines().values():
+                    cumulative_hist.observe(max(0.0, value))
+        if result.payoffs:
+            values = [max(0.0, float(v)) for v in result.payoffs.values()]
+            METRICS.gauge("fairness.round_gini").set(gini_coefficient(values))
+            METRICS.gauge("fairness.round_jain").set(jain_index(values))
+            payoff_hist = METRICS.histogram("fairness.worker_payoff")
+            for value in values:
+                payoff_hist.observe(value)
+        for rung in result.degraded.values():
+            if rung != "primary":
+                METRICS.counter("dispatch.degraded_total").add(1)
+                METRICS.counter(f"dispatch.degraded_{rung}").add(1)
+
+
 class DispatchEngine:
     """Runs dispatch rounds over a :class:`WorldState` (see module doc).
 
@@ -237,10 +337,6 @@ class DispatchEngine:
         :class:`~repro.vdps.delta.DeltaCatalog` refresh (bit-identical to
         a rebuild, proven by the differential suites) instead of a cold
         build.  ``False`` restores the rebuild-per-miss behaviour.
-    catalog_store:
-        Optional :class:`~repro.vdps.store.CatalogStore` for warm
-        restarts: consulted on each center's first cache miss, written by
-        :meth:`drain`.  Requires ``delta_catalog``.
     equity_mode:
         Solve rounds with ledger-weighted equity utilities
         (``docs/temporal_fairness.md``): each round the solver receives
@@ -273,14 +369,11 @@ class DispatchEngine:
         breaker_clock=time.monotonic,
         faults: Optional[FaultPlan] = None,
         delta_catalog: bool = True,
-        catalog_store: Optional[CatalogStore] = None,
         equity_mode: bool = False,
         equity_strength: float = DEFAULT_EQUITY_STRENGTH,
     ) -> None:
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if history_limit < 1:
-            raise ValueError(f"history_limit must be >= 1, got {history_limit}")
         if solve_deadline_s is not None and not solve_deadline_s > 0:
             raise ValueError(
                 f"solve_deadline_s must be > 0 or None, got {solve_deadline_s!r}"
@@ -301,14 +394,10 @@ class DispatchEngine:
         self._verify = verify
         self._trace = trace
         self._rng = RngFactory(seed)
-        self._cache = SnapshotCatalogCache(
-            delta=delta_catalog, store=catalog_store
-        )
+        self._cache = SnapshotCatalogCache(delta=delta_catalog)
         self._dispatch_lock = threading.Lock()
         self._round = 0
-        self._history: List[RoundResult] = []
-        self._history_limit = history_limit
-        self._last_committed: Optional[RoundResult] = None
+        self._rounds = RoundLog(history_limit)
         self._solve_deadline_s = solve_deadline_s
         self._solve_retries = solve_retries
         self._backoff_base_s = backoff_base_s
@@ -348,11 +437,11 @@ class DispatchEngine:
 
     @property
     def history(self) -> List[RoundResult]:
-        return list(self._history)
+        return self._rounds.history
 
     @property
     def last_committed(self) -> Optional[RoundResult]:
-        return self._last_committed
+        return self._rounds.last_committed
 
     @property
     def breakers(self) -> BreakerBoard:
@@ -458,25 +547,25 @@ class DispatchEngine:
             if not baselines or min(values) == max(values):
                 baselines = None
 
-        payoffs: Dict[str, float] = {}
-        assignments: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+        solved: Dict[str, Assignment] = {}
         degraded: Dict[str, str] = {}
         assigned = 0
         verified = 0
-        p_dif = 0.0
-        avg_p = 0.0
         if snapshot.subproblems:
-            solution, degraded, verified = self._solve_centers(
+            solved, degraded, verified = self._solve_centers(
                 snapshot, index, tracer, baselines
             )
-            for center_id, assignment in solution.assignments.items():
-                assignments[center_id] = dict(assignment.as_mapping())
-                for pair in assignment:
-                    payoffs[pair.worker.worker_id] = pair.payoff
-            p_dif = solution.payoff_difference
-            avg_p = solution.average_payoff
             if commit:
-                assigned = self._state.commit(snapshot, solution.assignments)
+                assigned = self._state.commit(snapshot, solved)
+        assignments, payoffs, p_dif, avg_p = pool_centers(
+            {
+                cid: [
+                    (p.worker.worker_id, p.delivery_point_ids, p.payoff)
+                    for p in assignment
+                ]
+                for cid, assignment in solved.items()
+            }
+        )
 
         rolling_gini: Optional[float] = None
         rolling_jain: Optional[float] = None
@@ -524,7 +613,8 @@ class DispatchEngine:
             rolling_gini=rolling_gini,
             rolling_jain=rolling_jain,
         )
-        self._record(result)
+        self._rounds.record(result, ledger)
+        METRICS.gauge("service.breaker.open").set(self._breakers.open_count())
         if tracer.enabled:
             round_span.add(
                 round=result.round_index,
@@ -552,15 +642,9 @@ class DispatchEngine:
         self._draining = True
 
     def drain(self) -> None:
-        """Block until any in-flight dispatch round has finished.
-
-        With a catalog store configured, the quiesced engine then persists
-        every live delta catalog so the next process warm-starts from disk
-        instead of paying cold C-VDPS builds.
-        """
+        """Block until any in-flight dispatch round has finished."""
         with self._dispatch_lock:
             pass
-        self._cache.persist()
 
     # -- the degradation ladder ---------------------------------------------
 
@@ -594,7 +678,7 @@ class DispatchEngine:
         index: int,
         tracer: NullTracer,
         baselines: Optional[Mapping[str, float]] = None,
-    ) -> Tuple[InstanceSolution, Dict[str, str], int]:
+    ) -> Tuple[Dict[str, Assignment], Dict[str, str], int]:
         """Solve each center down the ladder.
 
         Seeds are derived exactly like :func:`repro.parallel.solve_instance`
@@ -606,7 +690,8 @@ class DispatchEngine:
         bit-identical regardless of scheduling.  Raises only a failed
         check under ``verify=True``.
 
-        Returns ``(solution, center -> rung, centers actually verified)``.
+        Returns ``(center -> assignment, center -> rung, centers actually
+        verified)``.
         """
         round_rng = RngFactory(self.round_seed(index))
         subs = snapshot.subproblems
@@ -661,7 +746,7 @@ class DispatchEngine:
                 tracer.event(
                     "service.degraded", round=index, center=cid, rung=rung
                 )
-        return InstanceSolution(assignments), degraded, verified
+        return assignments, degraded, verified
 
     def _solve_center(
         self,
@@ -856,64 +941,3 @@ class DispatchEngine:
         assignment = Assignment(tuple(WorkerAssignment(w) for w in sub.workers))
         verify_assignment(assignment, sub=sub, solver=self._name)
         return assignment
-
-    # -- internals ----------------------------------------------------------
-
-    def _record(self, result: RoundResult) -> None:
-        self._history.append(result)
-        if len(self._history) > self._history_limit:
-            del self._history[: -self._history_limit]
-        if result.committed:
-            self._last_committed = result
-        METRICS.counter("service.rounds").add(1)
-        if result.committed:
-            METRICS.counter("service.rounds.committed").add(1)
-        METRICS.histogram("service.dispatch_seconds").observe(
-            result.duration_seconds
-        )
-        METRICS.gauge("service.pending_tasks").set(result.pending_tasks)
-        METRICS.gauge("service.available_workers").set(result.available_workers)
-        METRICS.gauge("service.round.payoff_difference").set(
-            result.payoff_difference
-        )
-        self._record_fairness(result)
-        for rung in result.degraded.values():
-            if rung != "primary":
-                METRICS.counter("dispatch.degraded_total").add(1)
-                METRICS.counter(f"dispatch.degraded_{rung}").add(1)
-        METRICS.gauge("service.breaker.open").set(self._breakers.open_count())
-
-    def _record_fairness(self, result: RoundResult) -> None:
-        """Rolling per-round fairness telemetry (the temporal-fairness hook).
-
-        Gini/Jain over the round's per-worker payoffs land in gauges, and
-        every payoff feeds a histogram, so an operator can watch equity
-        drift across rounds instead of waiting for an end-of-run report.
-        Payoffs are clamped at zero for the Gini (which rejects negatives);
-        the engine never produces negative payoffs, but a defensive clamp
-        beats a crashed round.
-
-        When an equity ledger is attached (equity *or* observer mode) the
-        rolling-window indices it maintains land in the
-        ``fairness.rolling_*`` gauges and every worker's decayed
-        cumulative payoff feeds the income-trajectory histogram — the
-        long-horizon counterparts of the per-round gauges.
-        """
-        if result.rolling_gini is not None:
-            METRICS.gauge("fairness.rolling_gini").set(result.rolling_gini)
-            METRICS.gauge("fairness.rolling_jain").set(result.rolling_jain)
-            ledger = self._state.equity
-            if ledger is not None:
-                cumulative_hist = METRICS.histogram(
-                    "fairness.worker_cumulative_payoff"
-                )
-                for value in ledger.baselines().values():
-                    cumulative_hist.observe(max(0.0, value))
-        if not result.payoffs:
-            return
-        values = [max(0.0, float(v)) for v in result.payoffs.values()]
-        METRICS.gauge("fairness.round_gini").set(gini_coefficient(values))
-        METRICS.gauge("fairness.round_jain").set(jain_index(values))
-        payoff_hist = METRICS.histogram("fairness.worker_payoff")
-        for value in values:
-            payoff_hist.observe(value)

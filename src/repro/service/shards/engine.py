@@ -23,32 +23,41 @@ Failure model (see :mod:`~repro.service.shards.supervisor`):
   raises :class:`~repro.service.engine.ServiceOverloaded`, which the API
   maps to 503 + ``Retry-After``.
 
-Scope (documented divergences from the single-process engine): equity
-mode and catalog stores are not supported in sharded mode, the view's
-``journal`` is ``None`` (segments live inside the workers), and task-id
-dedupe is shard-local (a duplicate id for the *same* delivery point is
-caught; the same id resubmitted against a dp of another shard is not).
+Scope: the facade is a router, not a second engine.  Every
+:class:`~repro.service.engine.DispatchEngine` keyword (breaker, deadline,
+retries, delta catalog, ...) is forwarded unchanged to each worker's
+engine, and rounds are recorded and pooled by the same
+:class:`~repro.service.engine.RoundLog` and
+:func:`~repro.service.engine.pool_centers` the single-process engine uses.
+Options that cannot shard are refused with :class:`ValueError`:
+``equity_mode``/``equity_strength`` (the cross-round ledger needs one
+world) and ``breaker_clock``/``trace`` (they cannot cross the ``spawn``
+boundary).  Remaining divergences: the view's ``journal`` is ``None``
+(segments live inside the workers), and task-id dedupe is shard-local (a
+duplicate id for the *same* delivery point is caught; the same id
+resubmitted against a dp of another shard is not).
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.entities import DistributionCenter, Worker
-from repro.geo.point import Point
-from repro.core.fairness import gini_coefficient, jain_index
-from repro.core.payoff import average_payoff, payoff_difference
+from repro.core.entities import DistributionCenter
 from repro.geo.travel import TravelModel
 from repro.obs.metrics import METRICS
 from repro.service.engine import (
+    DispatchEngine,
     EngineDraining,
+    RoundLog,
     RoundResult,
     ServiceOverloaded,
+    pool_centers,
 )
 from repro.service.faults import FaultPlan, resolve_faults
 from repro.service.shards.hashing import plan_shards
@@ -60,8 +69,13 @@ from repro.service.shards.supervisor import (
     ShardSupervisor,
 )
 from repro.service.shards.worker import ShardSpec
-from repro.service.state import Rejection
-from repro.sim.arrivals import TaskArrival
+from repro.service.state import (
+    Rejection,
+    attach_worker,
+    coerce_task,
+    coerce_worker,
+    item_id,
+)
 from repro.utils.log import get_logger
 from repro.utils.rng import RngFactory
 
@@ -69,6 +83,17 @@ _LOG = get_logger("service.shards.engine")
 
 #: How long a fan-out info snapshot stays fresh (read-only endpoints).
 _INFO_TTL_S = 0.25
+
+#: The single-process engine's signature: the options a pool forwards.
+_ENGINE_SIGNATURE = inspect.signature(DispatchEngine)
+
+#: Engine options a shard pool refuses, with the reason.
+_UNSHARDABLE = {
+    "equity_mode": "the cross-round equity ledger needs a single world",
+    "equity_strength": "the cross-round equity ledger needs a single world",
+    "breaker_clock": "a clock cannot cross the process boundary",
+    "trace": "a tracer cannot cross the process boundary",
+}
 
 
 class _MergedBreakerBoard:
@@ -175,56 +200,17 @@ class ShardedWorldView:
     def add_tasks(self, tasks: Sequence) -> Tuple[List[str], List[Rejection]]:
         """Route each task to the shard owning its delivery point."""
         engine = self._engine
-        batches: Dict[int, List] = {}
-        routed: List[Optional[Tuple[int, str]]] = []
-        rejections: List[Rejection] = []
-        for item in tasks:
-            try:
-                if isinstance(item, TaskArrival):
-                    task_id, dp_id, wire = item.task_id, item.dp_id, item
-                elif isinstance(item, Mapping):
-                    wire = dict(item)
-                    task_id = str(wire["task_id"])
-                    dp_id = str(wire["dp_id"])
-                    # The shard's clock equals the facade's; pin the
-                    # default arrival time here so routing never shifts it.
-                    wire.setdefault("arrival_time", engine._now)
-                else:
-                    raise TypeError(
-                        f"cannot interpret {type(item).__name__} as a task"
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
-                item_id = (
-                    item.get("task_id", "?") if isinstance(item, Mapping) else "?"
-                )
-                rejections.append(Rejection(str(item_id), str(exc)))
-                routed.append(None)
-                continue
-            shard_id = engine._dp_shard.get(str(dp_id))
+
+        def place(item):
+            # The shard's clock equals the facade's, so a task arriving
+            # "now" arrives at the same time wherever it is routed.
+            arrival = coerce_task(item, engine._now)
+            shard_id = engine._dp_shard.get(arrival.dp_id)
             if shard_id is None:
-                rejections.append(
-                    Rejection(str(task_id), f"unknown delivery point {dp_id!r}")
-                )
-                routed.append(None)
-                continue
-            batches.setdefault(shard_id, []).append(wire)
-            routed.append((shard_id, str(task_id)))
-        accepted_ids = set()
-        for shard_id, batch in sorted(batches.items()):
-            acc, rej = engine._supervisor.call(shard_id, "add_tasks", tasks=batch)
-            accepted_ids.update(acc)
-            rejections.extend(
-                r if isinstance(r, Rejection) else Rejection(r[0], r[1])
-                for r in rej
-            )
-        accepted = [
-            task_id
-            for entry in routed
-            if entry is not None
-            for _, task_id in (entry,)
-            if task_id in accepted_ids
-        ]
-        engine._invalidate_info()
+                raise ValueError(f"unknown delivery point {arrival.dp_id!r}")
+            return shard_id, arrival, arrival.task_id
+
+        accepted, rejections = self._route("add_tasks", "tasks", tasks, place)
         METRICS.counter("service.tasks.submitted").add(len(accepted))
         METRICS.counter("service.tasks.rejected").add(len(rejections))
         return accepted, rejections
@@ -238,81 +224,61 @@ class ShardedWorldView:
         """
         engine = self._engine
         centers = {c.center_id: c for c in engine._centers}
-        batches: Dict[int, List[Worker]] = {}
-        routed: List[Optional[Tuple[int, str]]] = []
+
+        def place(item):
+            worker = attach_worker(coerce_worker(item), centers, engine._travel)
+            return engine._center_shard[worker.center_id], worker, worker.worker_id
+
+        accepted, rejections = self._route(
+            "add_workers", "workers", workers, place
+        )
+        METRICS.counter("service.workers.added").add(len(accepted))
+        METRICS.counter("service.workers.rejected").add(len(rejections))
+        return accepted, rejections
+
+    def _route(self, op: str, key: str, items: Sequence, place):
+        """Coerce and place each item, send per-shard batches, merge replies.
+
+        ``place(item)`` returns ``(shard id, coerced item, item id)`` or
+        raises; a raising item becomes a :class:`Rejection` without an RPC.
+        Returns ``(accepted ids in input order, rejections)``.
+        """
+        engine = self._engine
+        batches: Dict[int, List] = {}
+        sent: List[str] = []
         rejections: List[Rejection] = []
-        for item in workers:
+        for item in items:
             try:
-                if isinstance(item, Worker):
-                    worker = item
-                elif isinstance(item, Mapping):
-                    worker = Worker(
-                        worker_id=str(item["worker_id"]),
-                        location=Point(float(item["x"]), float(item["y"])),
-                        max_delivery_points=int(item.get("max_delivery_points", 3)),
-                        center_id=item.get("center_id"),
-                        speed_kmh=item.get("speed_kmh"),
-                    )
-                else:
-                    raise TypeError(
-                        f"cannot interpret {type(item).__name__} as a worker"
-                    )
+                shard_id, coerced, coerced_id = place(item)
             except (KeyError, TypeError, ValueError) as exc:
-                item_id = (
-                    item.get("worker_id", "?") if isinstance(item, Mapping) else "?"
-                )
-                rejections.append(Rejection(str(item_id), str(exc)))
-                routed.append(None)
+                rejections.append(Rejection(item_id(item), str(exc)))
                 continue
-            if worker.center_id is not None and worker.center_id not in centers:
-                rejections.append(
-                    Rejection(
-                        worker.worker_id, f"unknown center {worker.center_id!r}"
-                    )
-                )
-                routed.append(None)
-                continue
-            if worker.center_id is None:
-                nearest = min(
-                    centers.values(),
-                    key=lambda c: engine._travel.distance(
-                        worker.location, c.location
-                    ),
-                )
-                worker = worker.assigned_to(nearest.center_id)
-            shard_id = engine._center_shard[worker.center_id]
-            batches.setdefault(shard_id, []).append(worker)
-            routed.append((shard_id, worker.worker_id))
+            batches.setdefault(shard_id, []).append(coerced)
+            sent.append(coerced_id)
         accepted_ids = set()
         for shard_id, batch in sorted(batches.items()):
-            acc, rej = engine._supervisor.call(
-                shard_id, "add_workers", workers=batch
-            )
+            acc, rej = engine._supervisor.call(shard_id, op, **{key: batch})
             accepted_ids.update(acc)
             rejections.extend(
                 r if isinstance(r, Rejection) else Rejection(r[0], r[1])
                 for r in rej
             )
-        accepted = [
-            worker_id
-            for entry in routed
-            if entry is not None
-            for _, worker_id in (entry,)
-            if worker_id in accepted_ids
-        ]
         engine._invalidate_info()
-        METRICS.counter("service.workers.added").add(len(accepted))
-        METRICS.counter("service.workers.rejected").add(len(rejections))
-        return accepted, rejections
+        return [i for i in sent if i in accepted_ids], rejections
 
 
 class ShardedDispatchEngine:
     """Dispatch rounds across a supervised pool of shard worker processes.
 
-    Parameters largely mirror :class:`~repro.service.engine.DispatchEngine`
-    (they are forwarded into every worker's engine); the sharding-specific
-    knobs are:
+    Every keyword in ``engine_options`` is a
+    :class:`~repro.service.engine.DispatchEngine` option, forwarded
+    unchanged into every worker's engine (options that cannot shard raise
+    :class:`ValueError`; see the module doc).  The facade itself reads
+    ``seed``, ``epsilon``, ``faults``, ``history_limit`` and
+    ``backoff_base_s``.  The sharding-specific knobs are:
 
+    travel:
+        The layout's travel model (default: the paper's Euclidean model).
     shards:
         Worker process count (each must own ≥ 1 center).
     journal_dir:
@@ -332,17 +298,7 @@ class ShardedDispatchEngine:
         solver,
         *,
         travel: Optional[TravelModel] = None,
-        epsilon: Optional[float] = None,
         shards: int = 2,
-        n_jobs: int = 1,
-        verify: bool = False,
-        seed: Optional[int] = None,
-        history_limit: int = 256,
-        solve_deadline_s: Optional[float] = None,
-        solve_retries: int = 1,
-        backoff_base_s: float = 0.05,
-        faults: Optional[FaultPlan] = None,
-        delta_catalog: bool = True,
         journal_dir=None,
         journal_fsync: bool = True,
         journal_compact_every: Optional[int] = None,
@@ -353,25 +309,35 @@ class ShardedDispatchEngine:
         rpc_timeout_s: float = 120.0,
         rpc_retries: int = 2,
         spawn_timeout_s: float = 60.0,
+        **engine_options,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if history_limit < 1:
-            raise ValueError(f"history_limit must be >= 1, got {history_limit}")
         if queue_bound < 1:
             raise ValueError(f"queue_bound must be >= 1, got {queue_bound}")
+        for name, reason in _UNSHARDABLE.items():
+            if name in engine_options:
+                raise ValueError(
+                    f"{name} is not supported by the shard pool: {reason}"
+                )
+        # An unknown option fails here, not inside every spawned worker.
+        _ENGINE_SIGNATURE.bind(None, solver, **engine_options)
+
+        def option(name: str):
+            default = _ENGINE_SIGNATURE.parameters[name].default
+            return engine_options.get(name, default)
+
         self._centers = tuple(
             sorted(centers, key=lambda c: c.center_id)
         )
         self._travel = travel if travel is not None else TravelModel()
-        self._seed = seed
+        seed = option("seed")
+        backoff_base_s = option("backoff_base_s")
         self._rng = RngFactory(seed)
         self._name = getattr(solver, "name", type(solver).__name__)
-        self._epsilon = epsilon
-        self._faults = resolve_faults(faults)
-        self._history_limit = int(history_limit)
-        self._history: List[RoundResult] = []
-        self._last_committed: Optional[RoundResult] = None
+        self._epsilon = option("epsilon")
+        self._faults = resolve_faults(option("faults"))
+        self._rounds = RoundLog(option("history_limit"))
         self._draining = False
         self._chaos_killed = False
         self._dispatch_lock = threading.Lock()
@@ -394,7 +360,8 @@ class ShardedDispatchEngine:
         # facade's business; stripping them keeps the worker engines
         # identical to a fault-free twin, which the kill-vs-clean
         # bit-identity gate depends on.
-        worker_faults = (
+        worker_options = dict(engine_options)
+        worker_options["faults"] = (
             self._faults
             if self._faults is not None and self._faults.active
             else None
@@ -413,15 +380,7 @@ class ShardedDispatchEngine:
                     centers=tuple(by_id[cid] for cid in partition[sid]),
                     travel=self._travel,
                     solver=solver,
-                    epsilon=epsilon,
-                    seed=seed,
-                    n_jobs=n_jobs,
-                    verify=verify,
-                    solve_deadline_s=solve_deadline_s,
-                    solve_retries=solve_retries,
-                    backoff_base_s=backoff_base_s,
-                    faults=worker_faults,
-                    delta_catalog=delta_catalog,
+                    engine_options=worker_options,
                     journal_path=segment,
                     journal_fsync=journal_fsync,
                     journal_compact_every=journal_compact_every,
@@ -536,11 +495,11 @@ class ShardedDispatchEngine:
 
     @property
     def history(self) -> List[RoundResult]:
-        return list(self._history)
+        return self._rounds.history
 
     @property
     def last_committed(self) -> Optional[RoundResult]:
-        return self._last_committed
+        return self._rounds.last_committed
 
     @property
     def breakers(self) -> _MergedBreakerBoard:
@@ -678,7 +637,7 @@ class ShardedDispatchEngine:
             index, target_now, commit, wires, failed,
             time.perf_counter() - start,
         )
-        self._record(result)
+        self._rounds.record(result)
         self._supervisor.set_retry_after(2.0 * max(0.05, result.duration_seconds))
         self._invalidate_info()
         return result
@@ -709,17 +668,13 @@ class ShardedDispatchEngine:
         failed: Dict[int, Exception],
         duration_s: float,
     ) -> RoundResult:
-        """Fold the per-shard round results into one global RoundResult.
+        """Decode the per-shard wire results into one global RoundResult.
 
-        The global payoff aggregates must be *bit*-identical to the
-        single-process engine's, whose ``average_payoff`` is an
-        order-sensitive ``np.mean`` over payoffs in sorted-center →
-        assignment-pair order — so that exact order is reconstructed here
-        before any aggregate is computed.
+        Payoffs pool through :func:`~repro.service.engine.pool_centers`,
+        the fold the single-process engine uses, so the order-sensitive
+        Equation 2 aggregates are bit-identical to it.
         """
-        assignments: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        payoffs: Dict[str, float] = {}
-        ordered: List[float] = []
+        rows: Dict[str, List[Tuple[str, List[str], float]]] = {}
         degraded: Dict[str, str] = {}
         assigned = expired = pending = available = 0
         cache_hits = cache_misses = verified = 0
@@ -735,27 +690,18 @@ class ShardedDispatchEngine:
             verified += int(wire["verified_centers"])
             degraded.update(wire.get("degraded") or {})
             center_ids.extend(wire.get("centers") or [])
-        for cid in sorted(c.center_id for c in self._centers):
-            sid = self._center_shard[cid]
-            wire = wires.get(sid)
-            if wire is None:
-                continue
-            routes = wire["assignments"].get(cid)
-            if routes is None:
-                continue
-            assignments[cid] = {
-                wid: tuple(dps) for wid, dps in routes.items()
-            }
-            for wid in routes:
-                value = float(wire["payoffs"][wid])
-                payoffs[wid] = value
-                ordered.append(value)
+            for cid, routes in wire["assignments"].items():
+                rows[cid] = [
+                    (wid, dps, float(wire["payoffs"][wid]))
+                    for wid, dps in routes.items()
+                ]
         for sid in sorted(failed):
             # The whole partition sat the round out: same contract as the
             # in-worker ladder's terminal rung — tasks stay pending, the
             # shard's clock catches up on its next successful round.
             for cid in self.centers_of(sid):
                 degraded[cid] = "skip"
+        assignments, payoffs, p_dif, avg_p = pool_centers(rows)
         return RoundResult(
             round_index=index,
             now=now,
@@ -765,8 +711,8 @@ class ShardedDispatchEngine:
             expired_tasks=expired,
             pending_tasks=pending,
             available_workers=available,
-            payoff_difference=payoff_difference(ordered) if ordered else 0.0,
-            average_payoff=average_payoff(ordered) if ordered else 0.0,
+            payoff_difference=p_dif,
+            average_payoff=avg_p,
             payoffs=payoffs,
             assignments=assignments,
             cache_hits=cache_hits,
@@ -775,40 +721,6 @@ class ShardedDispatchEngine:
             duration_seconds=duration_s,
             degraded=degraded,
         )
-
-    def _record(self, result: RoundResult) -> None:
-        """Mirror of the single-process engine's telemetry contract.
-
-        The worker processes feed their *own* metric registries, which
-        the facade process cannot see — so the service-level names the
-        dashboards and SLOs consume are re-emitted here.
-        """
-        self._history.append(result)
-        if len(self._history) > self._history_limit:
-            del self._history[: -self._history_limit]
-        if result.committed:
-            self._last_committed = result
-            METRICS.counter("service.rounds.committed").add(1)
-        METRICS.counter("service.rounds").add(1)
-        METRICS.histogram("service.dispatch_seconds").observe(
-            result.duration_seconds
-        )
-        METRICS.gauge("service.pending_tasks").set(result.pending_tasks)
-        METRICS.gauge("service.available_workers").set(result.available_workers)
-        METRICS.gauge("service.round.payoff_difference").set(
-            result.payoff_difference
-        )
-        if result.payoffs:
-            values = [max(0.0, float(v)) for v in result.payoffs.values()]
-            METRICS.gauge("fairness.round_gini").set(gini_coefficient(values))
-            METRICS.gauge("fairness.round_jain").set(jain_index(values))
-            payoff_hist = METRICS.histogram("fairness.worker_payoff")
-            for value in values:
-                payoff_hist.observe(value)
-        for rung in result.degraded.values():
-            if rung != "primary":
-                METRICS.counter("dispatch.degraded_total").add(1)
-                METRICS.counter(f"dispatch.degraded_{rung}").add(1)
 
     # -- shutdown ------------------------------------------------------------
 

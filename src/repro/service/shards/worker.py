@@ -2,8 +2,9 @@
 
 One worker owns a partition of the center layout: a
 :class:`~repro.service.state.WorldState` over its centers, its own journal
-segment, and a :class:`~repro.service.engine.DispatchEngine` configured
-with the *same* root seed and solve knobs as the facade.  Because per-round
+segment, and a :class:`~repro.service.engine.DispatchEngine` built from
+the facade's engine options — the *same* root seed and solve knobs as a
+single-process engine would get.  Because per-round
 solve seeds depend only on ``(seed, round index, solver name, center id)``,
 a round solved here is bit-identical to the same round solved by the
 single-process engine — shard layout never changes results.
@@ -28,18 +29,16 @@ from __future__ import annotations
 
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.entities import DistributionCenter
 from repro.geo.travel import TravelModel
 from repro.service.engine import DispatchEngine
-from repro.service.faults import FaultPlan
 from repro.service.journal import WorldJournal
 from repro.service.state import WorldState
 from repro.utils.log import get_logger
-from repro.utils.rng import SeedLike
 
 _LOG = get_logger("service.shards.worker")
 
@@ -50,21 +49,15 @@ class ShardSpec:
 
     Picklable by construction: it crosses the process boundary with the
     ``spawn`` start method, both at pool start and on every respawn.
+    ``engine_options`` are the keyword arguments of the worker's
+    :class:`~repro.service.engine.DispatchEngine`.
     """
 
     shard_id: int
     centers: Tuple[DistributionCenter, ...]
     travel: Optional[TravelModel] = None
     solver: object = None
-    epsilon: Optional[float] = None
-    seed: SeedLike = None
-    n_jobs: int = 1
-    verify: bool = False
-    solve_deadline_s: Optional[float] = None
-    solve_retries: int = 1
-    backoff_base_s: float = 0.05
-    faults: Optional[FaultPlan] = None
-    delta_catalog: bool = True
+    engine_options: Mapping[str, Any] = field(default_factory=dict)
     journal_path: Optional[str] = None
     journal_fsync: bool = True
     journal_compact_every: Optional[int] = None
@@ -103,17 +96,7 @@ class _ShardService:
                     )
                 )
         self.engine = DispatchEngine(
-            self.state,
-            spec.solver,
-            epsilon=spec.epsilon,
-            n_jobs=spec.n_jobs,
-            verify=spec.verify,
-            seed=spec.seed,
-            solve_deadline_s=spec.solve_deadline_s,
-            solve_retries=spec.solve_retries,
-            backoff_base_s=spec.backoff_base_s,
-            faults=spec.faults,
-            delta_catalog=spec.delta_catalog,
+            self.state, spec.solver, **spec.engine_options
         )
 
     # -- RPC handlers -------------------------------------------------------

@@ -317,9 +317,9 @@ class WorldState:
             batch_ids: set = set()
             for item in tasks:
                 try:
-                    arrival = self._coerce_task(item)
+                    arrival = coerce_task(item, self.now)
                 except (KeyError, TypeError, ValueError) as exc:
-                    rejections.append(Rejection(str(self._item_id(item)), str(exc)))
+                    rejections.append(Rejection(item_id(item), str(exc)))
                     continue
                 if arrival.dp_id not in self._layout:
                     rejections.append(
@@ -374,29 +374,17 @@ class WorldState:
             batch_ids: set = set()
             for item in workers:
                 try:
-                    worker = self._coerce_worker(item)
+                    worker = attach_worker(
+                        coerce_worker(item), self._centers, self._travel
+                    )
                 except (KeyError, TypeError, ValueError) as exc:
-                    rejections.append(Rejection(str(self._item_id(item)), str(exc)))
+                    rejections.append(Rejection(item_id(item), str(exc)))
                     continue
                 if worker.worker_id in self._workers or worker.worker_id in batch_ids:
                     rejections.append(
                         Rejection(worker.worker_id, "duplicate worker id")
                     )
                     continue
-                if worker.center_id is not None and worker.center_id not in self._centers:
-                    rejections.append(
-                        Rejection(
-                            worker.worker_id,
-                            f"unknown center {worker.center_id!r}",
-                        )
-                    )
-                    continue
-                if worker.center_id is None:
-                    nearest = min(
-                        self._centers.values(),
-                        key=lambda c: self._travel.distance(worker.location, c.location),
-                    )
-                    worker = worker.assigned_to(nearest.center_id)
                 coerced.append(worker)
                 batch_ids.add(worker.worker_id)
             if coerced:
@@ -1025,36 +1013,79 @@ class WorldState:
         else:
             raise JournalCorruption(f"unknown journal record kind {kind!r}")
 
-    # -- coercion helpers ---------------------------------------------------
 
-    @staticmethod
-    def _item_id(item) -> str:
-        if isinstance(item, Mapping):
-            return item.get("task_id") or item.get("worker_id") or "?"
-        return getattr(item, "task_id", getattr(item, "worker_id", "?"))
+# -- churn coercion (shared with the sharded facade) ---------------------------
 
-    def _coerce_task(self, item) -> TaskArrival:
-        if isinstance(item, TaskArrival):
-            return item
-        if isinstance(item, Mapping):
-            return TaskArrival(
-                task_id=str(item["task_id"]),
-                dp_id=str(item["dp_id"]),
-                arrival_time=float(item.get("arrival_time", self.now)),
-                expiry=float(item["expiry"]),
-                reward=float(item.get("reward", 1.0)),
+
+def item_id(item) -> str:
+    """The id a rejection of a churn ``item`` reports (``"?"`` if none)."""
+    if isinstance(item, Mapping):
+        return str(item.get("task_id") or item.get("worker_id") or "?")
+    return str(getattr(item, "task_id", getattr(item, "worker_id", "?")))
+
+
+def coerce_task(item, now: float) -> TaskArrival:
+    """A :class:`TaskArrival` or ``POST /tasks`` dict as a validated arrival.
+
+    A dict without ``arrival_time`` arrives at ``now``; the arrival's own
+    constructor refuses non-finite times and rewards.
+    """
+    if isinstance(item, TaskArrival):
+        return item
+    if isinstance(item, Mapping):
+        return TaskArrival(
+            task_id=str(item["task_id"]),
+            dp_id=str(item["dp_id"]),
+            arrival_time=float(item.get("arrival_time", now)),
+            expiry=float(item["expiry"]),
+            reward=float(item.get("reward", 1.0)),
+        )
+    raise TypeError(f"cannot interpret {type(item).__name__} as a task")
+
+
+def coerce_worker(item) -> Worker:
+    """A :class:`Worker` or ``POST /workers`` dict as a validated worker.
+
+    ``max_delivery_points`` must be a whole number: ``2.7`` or ``true``
+    are refused rather than truncated.  The worker's own constructor
+    refuses non-finite coordinates and speeds.
+    """
+    if isinstance(item, Worker):
+        return item
+    if isinstance(item, Mapping):
+        cap = item.get("max_delivery_points", 3)
+        if isinstance(cap, bool) or (
+            isinstance(cap, float) and not cap.is_integer()
+        ):
+            raise ValueError(
+                f"max_delivery_points must be a whole number, got {cap!r}"
             )
-        raise TypeError(f"cannot interpret {type(item).__name__} as a task")
+        return Worker(
+            worker_id=str(item["worker_id"]),
+            location=Point(float(item["x"]), float(item["y"])),
+            max_delivery_points=int(cap),
+            center_id=item.get("center_id"),
+            speed_kmh=item.get("speed_kmh"),
+        )
+    raise TypeError(f"cannot interpret {type(item).__name__} as a worker")
 
-    def _coerce_worker(self, item) -> Worker:
-        if isinstance(item, Worker):
-            return item
-        if isinstance(item, Mapping):
-            return Worker(
-                worker_id=str(item["worker_id"]),
-                location=Point(float(item["x"]), float(item["y"])),
-                max_delivery_points=int(item.get("max_delivery_points", 3)),
-                center_id=item.get("center_id"),
-                speed_kmh=item.get("speed_kmh"),
-            )
-        raise TypeError(f"cannot interpret {type(item).__name__} as a worker")
+
+def attach_worker(
+    worker: Worker,
+    centers: Mapping[str, DistributionCenter],
+    travel: TravelModel,
+) -> Worker:
+    """``worker`` bound to its center: the named one, or else the nearest.
+
+    Attaches like :meth:`ProblemInstance.subproblems`; raises
+    :class:`ValueError` for a center id not in ``centers``.
+    """
+    if worker.center_id is not None:
+        if worker.center_id not in centers:
+            raise ValueError(f"unknown center {worker.center_id!r}")
+        return worker
+    nearest = min(
+        centers.values(),
+        key=lambda c: travel.distance(worker.location, c.location),
+    )
+    return worker.assigned_to(nearest.center_id)

@@ -149,12 +149,7 @@ class DeltaCatalog:
 
     @property
     def catalog(self) -> VDPSCatalog:
-        """The catalog of the last refresh (never ``None`` after init)."""
-        if self._catalog is None:
-            raise RuntimeError(
-                "DeltaCatalog was restored without a materialised catalog; "
-                "call refresh(sub) first"
-            )
+        """The catalog of the last refresh."""
         return self._catalog
 
     @property
@@ -196,7 +191,7 @@ class DeltaCatalog:
                     sub,
                     epsilon=self.epsilon,
                     strict_revalidation=self._strict,
-                    kernel=getattr(self, "_kernel", None),
+                    kernel=self._kernel,
                 ),
             )
             if diffs:
@@ -204,16 +199,6 @@ class DeltaCatalog:
                     "delta catalog diverged from rebuild: " + "; ".join(diffs)
                 )
         return catalog
-
-    def __getstate__(self):
-        # The materialised catalog (and its numpy index) is cheap to
-        # re-derive and bloats pickles; the persistent store drops it and
-        # the first refresh() after a restore materialises it again.  The
-        # flattened entry arrays are a derived cache too.
-        state = self.__dict__.copy()
-        state["_catalog"] = None
-        state["_entry_arrays"] = None
-        return state
 
     # -- refresh machinery --------------------------------------------------
 
@@ -310,7 +295,7 @@ class DeltaCatalog:
                 stats,
                 NULL_TRACER,
                 self._center_id,
-                kernel=getattr(self, "_kernel", None),
+                kernel=self._kernel,
             )
         else:
             self._states = {}
@@ -497,7 +482,7 @@ class DeltaCatalog:
         the scalar scan iterates — so the vectorized scan visits the same
         entries in the same sequence.
         """
-        arrays = getattr(self, "_entry_arrays", None)
+        arrays = self._entry_arrays
         if arrays is None:
             from repro.kernels.validate import EntryArrays
 
@@ -518,7 +503,7 @@ class DeltaCatalog:
         self._offsets[worker.worker_id] = (offset, factor)
         from repro.kernels import resolve_kernel
 
-        if resolve_kernel(getattr(self, "_kernel", None)) != "scalar":
+        if resolve_kernel(self._kernel) != "scalar":
             from repro.kernels.validate import validate_worker_vectorized
 
             found = validate_worker_vectorized(

@@ -117,6 +117,29 @@ class TestErrorHandling:
         assert client.health()["pending_tasks"] == 6
         assert client.dispatch()["committed"]
 
+    @pytest.mark.parametrize("path", ["/workers", "/tasks"])
+    def test_overflowing_float_literals_400(self, server, client, path):
+        # JSON 1e400 parses to inf without ever reaching parse_constant;
+        # one such worker speed used to wedge its center for good.
+        item = (
+            '{"worker_id": "w", "x": 1, "y": 1, "speed_kmh": 1e400}'
+            if path == "/workers"
+            else '{"task_id": "x", "dp_id": "a1", "expiry": -1e400}'
+        )
+        body = '{"%s": [%s]}' % (path[1:], item)
+        request = urllib.request.Request(
+            f"{server.url}{path}",
+            data=body.encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert client.health()["workers"] == 3
+        record = client.dispatch()
+        assert set(record["degraded"].values()) == {"primary"}
+
     def test_body_must_be_object(self, server):
         request = urllib.request.Request(
             f"{server.url}/tasks",

@@ -5,8 +5,7 @@ refreshed :class:`~repro.vdps.delta.DeltaCatalog`.  These tests drive a
 delta engine and a rebuild-per-miss control engine through identical churn
 sequences and assert every round is bit-identical — payoffs, routes,
 Equation 2 ``P_dif`` — including across a write-ahead-journal crash-recover
-cycle with a persistent catalog store (warm restart), and under injected
-chaos on the degradation ladder.
+cycle, and under injected chaos on the degradation ladder.
 """
 
 import shutil
@@ -17,7 +16,6 @@ from repro.service.engine import DispatchEngine
 from repro.service.faults import FaultPlan
 from repro.service.journal import WorldJournal
 from repro.service.state import WorldState
-from repro.vdps.store import CatalogStore
 
 from tests.service.conftest import make_world, task
 
@@ -83,10 +81,15 @@ class TestDeltaBitIdentity:
         assert warm_rounds == cold_rounds
 
 
-class TestCrashRecoverWarmStart:
-    def _journaled_engine(self, journal_path, store, delta=True, seed=5):
+class TestCrashRecover:
+    def test_recovered_delta_engine_matches_rebuild(self, tmp_path):
+        journal = tmp_path / "world.jsonl"
+
+        # Phase 1: run, churn, then drain.  Planning-mode rounds leave
+        # workers free, so the recovered world still has solvable
+        # sub-problems after the journal replay.
         state = make_world(with_tasks=False)
-        state.attach_journal(WorldJournal(journal_path))
+        state.attach_journal(WorldJournal(journal))
         state.add_tasks(
             [
                 task("ta1", "a1", 1.2),
@@ -94,43 +97,24 @@ class TestCrashRecoverWarmStart:
                 task("tb1", "b1", 1.2),
             ]
         )
-        return DispatchEngine(
-            state,
-            FGTSolver(epsilon=0.8),
-            epsilon=0.8,
-            seed=seed,
-            delta_catalog=delta,
-            catalog_store=store,
+        first = DispatchEngine(
+            state, FGTSolver(epsilon=0.8), epsilon=0.8, seed=5
         )
-
-    def test_recovered_engine_with_store_matches_cold_control(self, tmp_path):
-        store_dir = tmp_path / "catalogs"
-        journal = tmp_path / "world.jsonl"
-
-        # Phase 1: run, churn, then drain (persists the delta catalogs).
-        # Planning-mode rounds leave workers free, so the recovered world
-        # still has solvable sub-problems after the journal replay.
-        first = self._journaled_engine(journal, CatalogStore(store_dir))
         first.dispatch(commit=False)
         first.state.add_tasks([task("late", "a3", 1.4)])
         first.dispatch(commit=False)
         first.begin_drain()
         first.drain()
-        assert list(store_dir.glob("*.catalog.pkl"))  # the store was written
 
         # Phase 2: "crash" — recover the world from the journal twice over
-        # (two identical copies), once per arm.
+        # (two identical copies): a delta engine and a rebuild engine.
         control_journal = tmp_path / "world-control.jsonl"
         shutil.copy(journal, control_journal)
-
-        loads_before = METRICS.counter("catalog.delta_store_loads").value
         recovered = DispatchEngine(
             WorldState.recover(journal),
             FGTSolver(epsilon=0.8),
             epsilon=0.8,
             seed=99,
-            delta_catalog=True,
-            catalog_store=CatalogStore(store_dir),
         )
         control = DispatchEngine(
             WorldState.recover(control_journal),
@@ -141,13 +125,13 @@ class TestCrashRecoverWarmStart:
         )
         assert recovered.state.fingerprint() == control.state.fingerprint()
 
+        applies = METRICS.counter("catalog.delta_applies").value
         outcomes = []
         for engine in (recovered, control):
             engine.state.add_tasks([task("post_crash", "b2", 1.2)])
-            rounds = [
-                engine.dispatch(commit=False),
-                engine.dispatch(),
-            ]
+            engine.dispatch(commit=False)
+            engine.state.add_tasks([task("post_crash2", "a1", 1.3)])
+            rounds = [engine.dispatch(commit=False), engine.dispatch()]
             outcomes.append(
                 [
                     (r.payoffs, r.assignments, r.payoff_difference)
@@ -155,5 +139,6 @@ class TestCrashRecoverWarmStart:
                 ]
             )
         assert outcomes[0] == outcomes[1]
-        # The recovered engine really warm-started from the store.
-        assert METRICS.counter("catalog.delta_store_loads").value > loads_before
+        assert recovered.state.worker_stats() == control.state.worker_stats()
+        # The recovered delta engine served churn by surgery, not rebuilds.
+        assert METRICS.counter("catalog.delta_applies").value > applies

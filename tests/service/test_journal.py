@@ -19,6 +19,7 @@ from repro.service.journal import (
 )
 from repro.service.state import WorldState
 
+from tests.conftest import make_worker
 from tests.service.conftest import make_world, seed_tasks, task
 
 
@@ -287,6 +288,28 @@ class TestWorldStateDurability:
         with path.open("a") as fh:
             fh.write(f"{crc:08x} {body}\n")
         with pytest.raises(ValueError, match="expiry must be finite"):
+            WorldState.recover(path, resume=False)
+
+    def test_recover_refuses_poisoned_worker_record(self, tmp_path):
+        # The worker twin of the task case: an infinite speed journaled
+        # before workers were validated must not be replayed.
+        path = tmp_path / "world.jsonl"
+        state = _journaled_world(path)
+        state.add_tasks(seed_tasks())
+        records, _, _ = WorldJournal.read(path)
+        poisoned = WorldState._worker_dict(make_worker("p", 1.0, 1.0, center_id="A"))
+        poisoned["speed_kmh"] = float("inf")
+        body = json.dumps(
+            {
+                "seq": records[-1].seq + 1,
+                "kind": "workers",
+                "data": {"workers": [poisoned]},
+            }
+        )
+        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        with path.open("a") as fh:
+            fh.write(f"{crc:08x} {body}\n")
+        with pytest.raises(ValueError, match="speed_kmh must be finite"):
             WorldState.recover(path, resume=False)
 
     def test_recover_rejects_empty_and_headless_journals(self, tmp_path):

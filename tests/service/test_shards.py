@@ -8,7 +8,9 @@ engine, and the facade must present the same duck-typed surface the HTTP
 layer already speaks.
 
 Every arm sets the same ``solve_deadline_s``, so both arms walk the
-degradation ladder under the same budget.
+degradation ladder under the same budget.  The pool forwards every engine
+option to its workers, so a breaker/chaos configuration must degrade the
+same centers on the same rounds in both arms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import pytest
 
 from repro.baselines.mpta import MPTASolver
 from repro.geo.travel import TravelModel
-from repro.service import DispatchClient, DispatchEngine, ServiceUnavailable
+from repro.service import (
+    BreakerConfig,
+    DispatchClient,
+    DispatchEngine,
+    FaultPlan,
+    ServiceUnavailable,
+)
 from repro.service.api import DispatchServer
 from repro.service.engine import EngineDraining
 from repro.service.shards import (
@@ -41,6 +49,7 @@ ROUND_KEYS = (
     "average_payoff",
     "pending_tasks",
     "available_workers",
+    "degraded",
 )
 
 
@@ -104,25 +113,60 @@ class TestBitIdentity:
     """Shard layout must never change results (the tentpole gate)."""
 
     def test_two_shards_match_single_process(self):
-        single = DispatchEngine(
-            make_world(), MPTASolver(), seed=7, solve_deadline_s=30.0
+        # Arm 2: every attempt fails in round 0, so a one-failure breaker
+        # opens and round 1 must shortcut both centers to greedy.
+        chaos = dict(
+            breaker=BreakerConfig(failure_threshold=1),
+            faults=FaultPlan(error_rate=1.0, max_round=1),
+            solve_retries=0,
+            backoff_base_s=0.0,
         )
-        want = [
-            single.dispatch(advance_hours=0.25).as_dict() for _ in range(3)
-        ]
-        sharded = make_sharded()
-        try:
-            seed_sharded(sharded)
-            got = [
-                sharded.dispatch(advance_hours=0.25).as_dict()
+        for options in ({}, chaos):
+            single = DispatchEngine(
+                make_world(), MPTASolver(), seed=7, solve_deadline_s=30.0,
+                **options,
+            )
+            want = [
+                single.dispatch(advance_hours=0.25).as_dict()
                 for _ in range(3)
             ]
-        finally:
-            sharded.begin_drain()
-            sharded.drain()
-        for round_index, (a, b) in enumerate(zip(want, got)):
-            for key in ROUND_KEYS:
-                assert a[key] == b[key], (round_index, key)
+            sharded = make_sharded(**options)
+            try:
+                seed_sharded(sharded)
+                got = [
+                    sharded.dispatch(advance_hours=0.25).as_dict()
+                    for _ in range(3)
+                ]
+            finally:
+                sharded.begin_drain()
+                sharded.drain()
+            for round_index, (a, b) in enumerate(zip(want, got)):
+                for key in ROUND_KEYS:
+                    assert a[key] == b[key], (options, round_index, key)
+            rungs = set(got[1]["degraded"].values())
+            assert rungs == ({"greedy"} if options else {"primary"})
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"equity_mode": True},
+            {"equity_strength": 2.0},
+            {"breaker_clock": time.monotonic},
+            {"trace": True},
+        ],
+    )
+    def test_refuses_options_that_cannot_shard(self, option):
+        (name,) = option
+        with pytest.raises(ValueError, match=name):
+            ShardedDispatchEngine(
+                two_center_layout(), MPTASolver(), shards=2, **option
+            )
+
+    def test_refuses_unknown_engine_options(self):
+        with pytest.raises(TypeError):
+            ShardedDispatchEngine(
+                two_center_layout(), MPTASolver(), shards=2, n_job=2
+            )
 
 
 class TestFacadeSurface:
@@ -160,6 +204,27 @@ class TestFacadeSurface:
             assert [r.item_id for r in rejected] == ["lost"]
             stats = engine.state.worker_stats()
             assert stats["roam"]["center_id"] == "B"  # nearest on the map
+        finally:
+            engine.begin_drain()
+            engine.drain()
+
+    def test_poisoned_workers_are_rejected_at_the_facade(self):
+        engine = make_sharded()
+        try:
+            seed_sharded(engine)
+            accepted, rejected = engine.state.add_workers(
+                [
+                    {"worker_id": "fast", "x": 0.2, "y": 0.0,
+                     "speed_kmh": float("inf")},
+                    {"worker_id": "frac", "x": 0.2, "y": 0.0,
+                     "max_delivery_points": 2.7},
+                ]
+            )
+            assert accepted == []
+            assert [r.item_id for r in rejected] == ["fast", "frac"]
+            record = engine.dispatch(advance_hours=0.25).as_dict()
+            assert set(record["degraded"].values()) == {"primary"}
+            assert record["assigned_tasks"] > 0
         finally:
             engine.begin_drain()
             engine.drain()

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.baselines.gta import GTASolver
+from repro.core.entities import Worker
 from repro.geo.point import Point
 from repro.parallel import solve_instance
+from repro.service.engine import DispatchEngine
 from repro.service.state import WorldState, _fingerprint
 from repro.sim.arrivals import TaskArrival
 
@@ -161,6 +163,34 @@ class TestAddWorkers:
         state = make_world(with_tasks=False)
         accepted, rejected = state.add_workers([{"worker_id": "w"}])
         assert accepted == [] and len(rejected) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"speed_kmh": 1e400},
+            {"speed_kmh": float("nan")},
+            {"max_delivery_points": 2.7},
+            {"max_delivery_points": True},
+        ],
+    )
+    def test_poisoned_worker_rejected(self, bad):
+        # One worker with an infinite speed used to be accepted, after
+        # which every round skipped its center ("factor must be positive").
+        state = make_world()
+        version = state.version
+        accepted, rejected = state.add_workers(
+            [{"worker_id": "w", "x": 1, "y": 1, **bad}]
+        )
+        assert accepted == []
+        assert [r.item_id for r in rejected] == ["w"]
+        assert state.version == version
+        record = DispatchEngine(state, GTASolver(), seed=0).dispatch()
+        assert set(record.degraded.values()) == {"primary"}
+        assert record.assigned_tasks > 0
+
+    def test_worker_validates_speed_on_construction(self):
+        with pytest.raises(ValueError, match="speed_kmh must be finite"):
+            Worker("w", Point(1.0, 1.0), speed_kmh=float("inf"))
 
 
 class TestClockAndExpiry:
